@@ -12,7 +12,6 @@ verdicts.
 from concord.laurent import (
     LaurentPoly,
     Rational,
-    RationalFunction,
     RationalFunctionModPoly,
     factor,
     gcd,

@@ -9,7 +9,10 @@ order is squarefree.  The pairing used is
     Bl(x, y) = (1 - t) x^T (tV - V^T)^{-1} conj(y)   mod Q[t,t^-1],
 
 which is sesquilinear (linear over Q[t,t^-1] in x, conjugate-linear in y)
-and hermitian on this presentation.  Any fixed unit change would preserve
+and hermitian on this presentation.  The inverse is taken as
+adj(tV - V^T) / det(tV - V^T), with every cofactor a Bareiss determinant
+over Q[t,t^-1], so each value needs one reduction in Q(t)/Q[t,t^-1] and
+no arithmetic in Q(t).  Any fixed unit change would preserve
 isotropy, orthogonality and nonsingularity, which is all the verdict layer
 consumes.
 """
@@ -22,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from concord.laurent import (
     LaurentPoly,
-    RationalFunction,
     RationalFunctionModPoly,
     divides,
     divmod_laurent,
@@ -32,7 +34,7 @@ from concord.laurent import (
     is_squarefree,
     reduce_mod,
 )
-from concord.seifert import SeifertMatrix
+from concord.seifert import SeifertMatrix, det_laurent
 
 
 class UnsupportedModule(Exception):
@@ -393,39 +395,6 @@ def _module_from_seifert(v: SeifertMatrix) -> AlexModule:
 # -- Blanchfield form -----------------------------------------------------------
 
 
-def _invert_poly_matrix(m: PolyMatrix) -> List[List[RationalFunction]]:
-    """Inverse over Q(t) by Gaussian elimination with rational functions."""
-    n = len(m)
-    a = [[RationalFunction(m[i][j]) for j in range(n)] for i in range(n)]
-    inv = [
-        [RationalFunction(LaurentPoly.one() if i == j else LaurentPoly.zero())
-         for j in range(n)]
-        for i in range(n)
-    ]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not a[i][k].is_zero():
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("singular presentation matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv[k], inv[piv] = inv[piv], inv[k]
-        scale = a[k][k]
-        for j in range(n):
-            a[k][j] = a[k][j] / scale
-            inv[k][j] = inv[k][j] / scale
-        for i in range(n):
-            if i == k or a[i][k].is_zero():
-                continue
-            f = a[i][k]
-            for j in range(n):
-                a[i][j] = a[i][j] - f * a[k][j]
-                inv[i][j] = inv[i][j] - f * inv[k][j]
-    return inv
-
-
 class BlanchfieldForm:
     """The pairing on decomposition coordinates, stored as a gram matrix of
     values in Q(t)/Q[t,t^-1]."""
@@ -442,24 +411,29 @@ class BlanchfieldForm:
             [t.scale(v.entries[i][j]) - LaurentPoly.constant(v.entries[j][i]) for j in range(n)]
             for i in range(n)
         ]
-        ainv = _invert_poly_matrix(amat)
-        one_minus_t = RationalFunction(LaurentPoly({0: 1, 1: -1}))
+        # (tV - V^T)^{-1} = adj / det, with adj[r][s] the (s, r) cofactor
+        det = det_laurent(amat)
+        adj = [[None] * n for _ in range(n)]
+        for r in range(n):
+            for s in range(n):
+                minor = [row[:r] + row[r + 1:] for k, row in enumerate(amat) if k != s]
+                cof = det_laurent(minor)
+                adj[r][s] = -cof if (r + s) % 2 else cof
+        one_minus_t = LaurentPoly({0: 1, 1: -1})
         basis_pres = [module._dec_to_pres[i] for i in range(module.rank())]
         gram: List[List[RationalFunctionModPoly]] = []
         for xi in basis_pres:
             row = []
             for yj in basis_pres:
                 ybar = [c.conjugate() for c in yj]
-                total = RationalFunction(LaurentPoly.zero())
+                total = LaurentPoly.zero()
                 for r in range(n):
                     if xi[r].is_zero():
                         continue
-                    inner = RationalFunction(LaurentPoly.zero())
                     for s in range(n):
                         if not ybar[s].is_zero():
-                            inner = inner + ainv[r][s] * RationalFunction(ybar[s])
-                    total = total + RationalFunction(xi[r]) * inner
-                row.append((one_minus_t * total).mod_laurent())
+                            total = total + xi[r] * adj[r][s] * ybar[s]
+                row.append(RationalFunctionModPoly(one_minus_t * total, det))
             gram.append(row)
         self.gram = gram
 

@@ -158,13 +158,16 @@ def _sig_csv_rows(sf, samples: int):
 
 def cmd_rho0(args, doc: InputDocument) -> int:
     v = _seifert_of(doc, args.knot)
-    tol = parse_tolerance(args.tol) if args.tol else doc.options["tol"]
+    if args.tol:
+        tol, tol_text = parse_tolerance(args.tol), args.tol
+    else:
+        tol, tol_text = doc.options["tol"], doc.options["tol_text"]
     val = rho0(v, tol)
     digits = max(1, len(str(tol.denominator)) - 1)
     if val.is_exact():
         text = f"{val.midpoint} (exact)"
     else:
-        text = f"{val.decimal_str(digits)} ± {args.tol or '1e-9'}"
+        text = f"{val.decimal_str(digits)} ± {tol_text}"
     _emit(args, {
         "knot": args.knot,
         "midpoint": [str(val.midpoint.numerator), str(val.midpoint.denominator)],

@@ -34,6 +34,7 @@ from concord.construction import (
     AssumedDepth,
     BaseKnot,
     BingDouble,
+    CloneDepth,
     ConnectedSum,
     CurveSpec,
     Infect,
@@ -45,6 +46,8 @@ from concord.construction import (
     TrivialLink,
     WordDepth,
     component_count,
+    normalize_tree,
+    tower_decomposition,
 )
 from concord.freegroup import parse_word
 from concord.laurent import LaurentPoly
@@ -133,9 +136,10 @@ class InputDocument:
         _expect(isinstance(section, dict), "'options' must be an object")
         unknown = set(section) - {"tol", "factor_degree_cap", "depth_cap"}
         _expect(not unknown, f"unknown options: {sorted(unknown)}")
-        out = {"tol": Fraction(1, 10**9)}
+        out = {"tol": Fraction(1, 10**9), "tol_text": "1e-9"}
         if "tol" in section:
             out["tol"] = parse_tolerance(section["tol"])
+            out["tol_text"] = str(section["tol"])
         if "factor_degree_cap" in section:
             out["factor_degree_cap"] = int(section["factor_degree_cap"])
         if "depth_cap" in section:
@@ -214,8 +218,9 @@ class InputDocument:
         )
         _expect(isinstance(spec.get("infectants"), list), "'infect' needs 'infectants'")
         parent = self._node(spec["parent"], stack)
+        clone_depth = _clone_depth(parent, spec["curves"])
         curves = tuple(
-            self._curve(c, i, parent) for i, c in enumerate(spec["curves"])
+            self._curve(c, i, parent, clone_depth) for i, c in enumerate(spec["curves"])
         )
         infectants = tuple(self._node(p, stack) for p in spec["infectants"])
         _expect(
@@ -224,9 +229,12 @@ class InputDocument:
         )
         return Infect(parent, curves, infectants)
 
-    def _curve(self, spec, index: int, parent: Node) -> CurveSpec:
+    def _curve(self, spec, index: int, parent: Node, clone_depth) -> CurveSpec:
         _expect(isinstance(spec, dict), f"curve #{index}: must be an object")
-        unknown = set(spec) - {"label", "word", "assumed_depth", "alex_class", "lk_zero"}
+        unknown = set(spec) - {
+            "label", "word", "assumed_depth", "alex_class", "lk_zero",
+            "depth", "certificate",
+        }
         _expect(not unknown, f"curve #{index}: unknown fields {sorted(unknown)}")
         label = str(spec.get("label", f"curve{index}"))
         _expect(
@@ -241,6 +249,28 @@ class InputDocument:
                 alex_class = tuple(LaurentPoly.from_json(c) for c in raw)
             except (ValueError, TypeError) as e:
                 raise DocumentError(f"curve {label!r}: bad alex_class: {e}") from e
+        cert = self._certificate(spec, label, parent, alex_class, clone_depth)
+        # `depth` and `certificate` are what serialization records; they
+        # must agree with the certificate derived from the other fields
+        if "certificate" in spec:
+            _expect(
+                spec["certificate"] == type(cert).__name__,
+                f"curve {label!r}: certificate {spec['certificate']!r} disagrees "
+                f"with the derived {type(cert).__name__}",
+            )
+        if "depth" in spec:
+            derived = (
+                _word_depth_str(cert) if isinstance(cert, WordDepth)
+                else cert.lower_depth()[0]
+            )
+            _expect(
+                str(spec["depth"]) == str(derived),
+                f"curve {label!r}: depth {spec['depth']!r} disagrees with "
+                f"the derived depth {derived}",
+            )
+        return CurveSpec(label, cert, alex_class)
+
+    def _certificate(self, spec: dict, label: str, parent: Node, alex_class, clone_depth):
         if "word" in spec:
             _expect(
                 "assumed_depth" not in spec,
@@ -248,17 +278,37 @@ class InputDocument:
             )
             rank = component_count(parent)
             try:
-                word = parse_word(str(spec["word"]), rank)
+                return WordDepth(parse_word(str(spec["word"]), rank))
             except ValueError as e:
                 raise DocumentError(f"curve {label!r}: {e}") from e
-            return CurveSpec(label, WordDepth(word), alex_class)
         if "assumed_depth" in spec:
-            return CurveSpec(label, AssumedDepth(int(spec["assumed_depth"])), alex_class)
+            return AssumedDepth(int(spec["assumed_depth"]))
+        if spec.get("certificate") == "CloneDepth":
+            _expect(
+                clone_depth is not None,
+                f"curve {label!r}: a CloneDepth certificate needs an i-fold "
+                f"doubling tower over the unknot infected along 2^i curves",
+            )
+            return CloneDepth(clone_depth)
         _expect(
             alex_class is not None,
             f"curve {label!r}: needs a word, an assumed_depth, or an alex_class",
         )
-        return CurveSpec(label, LinkingZeroDepth(), alex_class)
+        return LinkingZeroDepth()
+
+
+def _clone_depth(parent: Node, curves: list) -> Optional[int]:
+    """The depth i of the clone curves of `parent` when it is the shape that
+    `expand_clones` builds (an i-fold doubling tower over the unknot, i >= 1,
+    infected along 2^i curves), else None.  Only worked out when some curve
+    claims a CloneDepth certificate."""
+    if not any(isinstance(c, dict) and c.get("certificate") == "CloneDepth" for c in curves):
+        return None
+    depth, terminal = tower_decomposition(parent)
+    unknot = normalize_tree(BaseKnot.from_catalog("unknot"))
+    if depth >= 1 and terminal == unknot and len(curves) == 2**depth:
+        return depth
+    return None
 
 
 def parse_tolerance(val) -> Fraction:

@@ -497,76 +497,6 @@ def is_squarefree(f: LaurentPoly) -> bool:
 # -- fractions ----------------------------------------------------------------
 
 
-class RationalFunction:
-    """An element of the field Q(t), reduced with normalized denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = None, _raw: bool = False):
-        if den is None:
-            den = LaurentPoly.one()
-        if _raw:
-            self.num, self.den = num, den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = LaurentPoly(), LaurentPoly.one()
-            return
-        g = gcd(num, den)
-        if g.degree() > 0:
-            num, den = exact_div(num, g), exact_div(den, g)
-        dn = den.normalize()
-        c, k = den.unit_quotient_over(dn)
-        self.num = num.scale(1 / c).shift(-k)
-        self.den = dn
-
-    @classmethod
-    def of(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, o: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, _raw=True)
-
-    def __mul__(self, o: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o: "RationalFunction") -> "RationalFunction":
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def conjugate(self) -> "RationalFunction":
-        return RationalFunction(self.num.conjugate(), self.den.conjugate())
-
-    def __eq__(self, o) -> bool:
-        if not isinstance(o, RationalFunction):
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.den == LaurentPoly.one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-    def mod_laurent(self) -> "RationalFunctionModPoly":
-        return RationalFunctionModPoly(self.num, self.den)
-
-
 class RationalFunctionModPoly:
     """An element of Q(t)/Q[t,t^-1].
 

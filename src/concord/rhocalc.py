@@ -197,33 +197,33 @@ class RhoTerm:
 
 @dataclass(frozen=True)
 class Axioms:
-    """User-declared facts: the listed atoms form a Q-linearly independent
-    family of reals (a singleton declaration is just 'nonzero')."""
+    """User-declared facts: each group lists atoms that form a Q-linearly
+    independent family of reals (a singleton group is just 'nonzero').
+    Atoms of different groups carry no declared relation."""
 
-    independent: frozenset = frozenset()
+    groups: Tuple[frozenset, ...] = ()
 
     @classmethod
     def parse(cls, groups: Iterable[Iterable[str]]) -> "Axioms":
-        atoms = set()
-        for group in groups:
-            for name in group:
-                atoms.add(RhoAtom.parse(name))
-        return cls(frozenset(atoms))
+        return cls(tuple(
+            frozenset(RhoAtom.parse(name) for name in group) for group in groups
+        ))
 
-    def covers(self, term: RhoTerm) -> bool:
-        return all(a in self.independent for a in term.atoms())
+    def covers(self, *terms: RhoTerm) -> bool:
+        """True when one declared group holds every atom of the terms."""
+        atoms = {a for t in terms for a in t.atoms()}
+        return any(atoms <= group for group in self.groups)
 
 
 def linearly_independent(terms: Sequence[RhoTerm], axioms: Axioms) -> int:
-    """1 iff the terms are provably Q-linearly independent: every atom is
-    covered by the declared independent family, constants vanish, and the
+    """1 iff the terms are provably Q-linearly independent: one declared
+    independent group covers every atom, constants vanish, and the
     coefficient matrix has full rank over Q."""
     terms = list(terms)
     if not terms:
         return 1
-    for t in terms:
-        if t.constant or not axioms.covers(t):
-            return 0
+    if any(t.constant for t in terms) or not axioms.covers(*terms):
+        return 0
     basis = sorted({a for t in terms for a in t.atoms()}, key=lambda a: a.sort_key())
     rows = [[t.coeff(a) for a in basis] for t in terms]
     return 1 if _rank(rows) == len(terms) else 0

@@ -5,7 +5,7 @@ det(V - V^T) = +-1).  Everything downstream is exact: the Alexander
 polynomial is a Bareiss determinant over Q[t,t^-1]; the Levine signature
 function is computed with an exact jump locus (Sturm isolation of the
 unit-circle zeros of the Alexander polynomial under x = t + 1/t) and
-exact arc values (Descartes counts on characteristic polynomials at
+exact arc values (signatures by symmetric elimination over Q at
 rational points of the circle); the signature integral rho0 carries a
 certified error bound.
 
@@ -174,46 +174,44 @@ def _circle_point(tau: Fraction) -> Tuple[Fraction, Fraction]:
     return (1 - tau * tau) / d, 2 * tau / d
 
 
-def _char_poly(m: List[List[Fraction]]) -> List[Fraction]:
-    """Characteristic polynomial det(lambda I - M) by Faddeev-LeVerrier.
+def _symmetric_signature(m: List[List[Fraction]]) -> int:
+    """Signature of a nonsingular symmetric rational matrix.
 
-    Returns [c_n, ..., c_1, c_0] with leading coefficient 1 (index 0 =
-    highest degree)."""
-    n = len(m)
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ck
-        mk = _mat_mul(m, mk)
-    return coeffs
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _sign_variations(seq: Sequence[Fraction]) -> int:
-    signs = [1 if c > 0 else -1 for c in seq if c]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    Symmetric Gaussian elimination is a congruence, so by Sylvester's law
+    of inertia the signs of the pivots give the signature.  When every
+    diagonal entry is zero, row/col 0 += row/col j turns the pivot into
+    2 m[0][j].  A zero row left over means the form is singular.
+    """
+    m = [row[:] for row in m]
+    sig = 0
+    while m:
+        n = len(m)
+        p = next((i for i in range(n) if m[i][i]), None)
+        if p is None:
+            j = next((j for j in range(1, n) if m[0][j]), None)
+            if j is None:
+                raise ValueError("singular Hermitian form (sample point on the jump locus)")
+            for k in range(n):
+                m[0][k] += m[j][k]
+            for k in range(n):
+                m[k][0] += m[k][j]
+            p = 0
+        piv = m[p][p]
+        sig += 1 if piv > 0 else -1
+        rest = [i for i in range(n) if i != p]
+        m = [
+            [m[i][k] - m[i][p] * m[p][k] / piv for k in rest]
+            for i in rest
+        ]
+    return sig
 
 
 def _hermitian_signature(a: List[List[Fraction]], b: List[List[Fraction]]) -> int:
     """Signature of the Hermitian matrix A + iB (A symmetric, B
     antisymmetric), exactly.
 
-    Realified to the symmetric [[A, -B], [B, A]] whose spectrum doubles
-    that of A + iB; Descartes' rule is exact on real-rooted polynomials,
-    so the variation counts of p(x) and p(-x) are the eigenvalue counts.
-    Requires A + iB nonsingular.
+    Realified to the symmetric [[A, -B], [B, A]], whose spectrum doubles
+    that of A + iB.  Requires A + iB nonsingular.
     """
     n = len(a)
     if n == 0:
@@ -225,13 +223,7 @@ def _hermitian_signature(a: List[List[Fraction]], b: List[List[Fraction]]) -> in
             big[i][n + j] = -b[i][j]
             big[n + i][j] = b[i][j]
             big[n + i][n + j] = a[i][j]
-    coeffs = _char_poly(big)
-    if not coeffs[-1]:
-        raise ValueError("singular Hermitian form (sample point on the jump locus)")
-    pos = _sign_variations(coeffs)
-    neg = _sign_variations([c if i % 2 == 0 else -c for i, c in enumerate(coeffs)])
-    assert pos + neg == 2 * n, "Descartes counts must exhaust a nonsingular spectrum"
-    sig2 = pos - neg
+    sig2 = _symmetric_signature(big)
     assert sig2 % 2 == 0
     return sig2 // 2
 

@@ -145,6 +145,44 @@ class TestBlanchfield:
             assert lhs2 == rhs2
             assert form.pairing(y, x) == form.pairing(x, y).conjugate()
 
+    def test_gram_against_sympy_inverse(self):
+        # oracle: (1 - t) x^T (tV - V^T)^{-1} conj(y), inverted by sympy over Q(t)
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        t = sympy.Symbol("t")
+
+        def sym(p):
+            return sum((sympy.Rational(c.numerator, c.denominator) * t**e
+                        for e, c in p.items()), sympy.Integer(0))
+
+        rng = random.Random(17)
+        # basis vectors with one nonzero coordinate see only the diagonal
+        # of the adjugate, so draw some with wider support on purpose
+        wanted = {False: 5, True: 3}
+        while any(wanted.values()):
+            v = random_seifert(rng, rng.choice([1, 2]))
+            mod = module_from_seifert(v)
+            if mod.is_zero_module():
+                continue
+            basis = [mod._dec_to_pres[i] for i in range(mod.rank())]
+            wide = any(sum(not c.is_zero() for c in x) > 1 for x in basis)
+            if not wanted[wide]:
+                continue
+            wanted[wide] -= 1
+            n = v.size()
+            a = sympy.Matrix(n, n, lambda i, j: t * v.entries[i][j] - v.entries[j][i])
+            ainv = DomainMatrix.from_Matrix(a).to_field().inv().to_Matrix()
+            gram = BlanchfieldForm(mod).gram
+            for i, x in enumerate(basis):
+                for j, y in enumerate(basis):
+                    xs = sympy.Matrix([sym(c) for c in x])
+                    ybar = sympy.Matrix([sym(c.conjugate()) for c in y])
+                    want = (1 - t) * (xs.T * ainv * ybar)[0]
+                    got = sym(gram[i][j].num) / sym(gram[i][j].den)
+                    _, den = sympy.fraction(sympy.cancel(want - got))
+                    assert sympy.Poly(den, t).is_monomial
+
     def test_pairing_kills_orders(self):
         mod = module_from_seifert(EIGHT9)
         form = BlanchfieldForm(mod)

@@ -4,7 +4,9 @@ import pytest
 
 from concord.cli import main
 from concord.document import DocumentError, InputDocument, load_document, node_to_json
-from concord.construction import Infect, TrivialLink, normalize_tree, rdouble_tower
+from concord.construction import (
+    Infect, TrivialLink, expand_clones, normalize_tree, rdouble_tower,
+)
 
 
 DOC = {
@@ -80,6 +82,63 @@ class TestDocument:
         assert data["op"] == "infect"
         assert data["parent"]["knot"] == "nine46"
 
+    @pytest.mark.parametrize("argv", [["canon", "tower"], ["expand", "J2", "--level", "2"]])
+    def test_serialized_tree_reloads(self, docfile, capsys, argv):
+        assert main(["--doc", docfile] + argv) == 0
+        tree = json.loads(capsys.readouterr().out)
+        original = load_document(docfile).resolve(argv[1])
+        if argv[0] == "expand":
+            original = expand_clones(original, 2)
+        reloaded = InputDocument({**DOC, "builds": {"re": tree}}).resolve("re")
+        assert normalize_tree(reloaded) == normalize_tree(original)
+
+    def test_serialized_fields_must_agree(self, docfile, capsys):
+        assert main(["--doc", docfile, "canon", "tower"]) == 0
+        text = capsys.readouterr().out
+        for which, field, bad in [
+            ("word", "depth", "2"),
+            ("word", "certificate", "LinkingZeroDepth"),
+            ("alex_class", "depth", 2),
+            ("alex_class", "certificate", "MeridianCurve"),
+        ]:
+            tree = json.loads(text)
+            if which == "word":
+                curve = tree["curves"][0]
+            else:
+                curve = tree["infectants"][0]["curves"][0]
+            curve[field] = bad
+            with pytest.raises(DocumentError):
+                InputDocument({**DOC, "builds": {"re": tree}})
+
+    def test_clone_depth_needs_the_expanded_shape(self, tmp_path, capsys):
+        clone = {"certificate": "CloneDepth", "depth": 9}
+        doc = {"builds": {"x": {
+            "op": "infect", "parent": {"op": "base", "knot": "nine46"},
+            "curves": [clone, clone], "infectants": ["trefoil", "trefoil"],
+        }}}
+        p = tmp_path / "clone.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--doc", str(p), "solvable", "x"]) == 1
+        assert "CloneDepth" in capsys.readouterr().err
+
+    def test_expanded_clone_fields_must_agree(self, docfile, capsys):
+        assert main(["--doc", docfile, "expand", "J2", "--level", "1"]) == 0
+        text = capsys.readouterr().out
+        assert json.loads(text)["curves"][0]["certificate"] == "CloneDepth"
+        tree = json.loads(text)
+        InputDocument({**DOC, "builds": {"re": tree}})
+        tree["curves"][0]["depth"] = 9
+        with pytest.raises(DocumentError):
+            InputDocument({**DOC, "builds": {"re": tree}})
+        tree = json.loads(text)
+        del tree["curves"][1], tree["infectants"][1]
+        with pytest.raises(DocumentError):
+            InputDocument({**DOC, "builds": {"re": tree}})
+        tree = json.loads(text)
+        tree["parent"] = {"op": "rdouble", "parent": "trefoil"}
+        with pytest.raises(DocumentError):
+            InputDocument({**DOC, "builds": {"re": tree}})
+
 
 class TestCommands:
     def test_alex(self, capsys):
@@ -97,6 +156,14 @@ class TestCommands:
         assert main(["rho0", "trefoil", "--tol", "1e-9"]) == 0
         out = capsys.readouterr().out.strip()
         assert out == "-1.333333333 ± 1e-9"
+
+    def test_rho0_document_tolerance(self, tmp_path, capsys):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({"options": {"tol": "1e-4"}}))
+        assert main(["--doc", str(p), "rho0", "trefoil"]) == 0
+        assert capsys.readouterr().out.strip() == "-1.3333 ± 1e-4"
+        assert main(["--doc", str(p), "rho0", "trefoil", "--tol", "1e-6"]) == 0
+        assert capsys.readouterr().out.strip() == "-1.333333 ± 1e-6"
 
     def test_rho0_exact_zero(self, capsys):
         assert main(["rho0", "figure8"]) == 0

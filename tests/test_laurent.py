@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from concord.laurent import (
     DegreeCapExceeded,
     LaurentPoly,
-    RationalFunction,
     RationalFunctionModPoly,
     divides,
     divmod_laurent,
@@ -153,6 +152,10 @@ class TestDivision:
             assert reduce_mod(f * g, d) == reduce_mod(reduce_mod(f, d) * reduce_mod(g, d), d)
             assert reduce_mod(f - f, d) == LaurentPoly()
 
+    def test_exact_div_error(self):
+        with pytest.raises(ValueError):
+            exact_div(lp({1: 1, 0: 1}), lp({1: 1, 0: -1}))
+
 
 class TestFactor:
     def test_spec_examples(self):
@@ -256,20 +259,6 @@ class TestRationalFunctionModPoly:
     def test_conjugate_involution(self):
         x = RationalFunctionModPoly(lp({1: -1, 0: 1}), lp({1: 1, 0: -2}))
         assert x.conjugate().conjugate() == x
-
-
-class TestRationalFunction:
-    def test_field_laws(self):
-        a = RationalFunction(P_EX, Q_EX)
-        b = RationalFunction(lp({1: 1}), lp({2: 1, 0: -1}))
-        one = RationalFunction(LaurentPoly.one())
-        assert a * b / b == a
-        assert (a + b) - b == a
-        assert a / a == one
-
-    def test_exact_div_error(self):
-        with pytest.raises(ValueError):
-            exact_div(lp({1: 1, 0: 1}), lp({1: 1, 0: -1}))
 
 
 def test_json_round_trip():

@@ -270,6 +270,14 @@ class TestAxioms:
         ax2 = Axioms.parse([["rho0(K1)"]])
         assert linearly_independent([k1 + r1, k1], ax2) == 0
 
+    def test_groups_are_not_merged(self):
+        ax = Axioms.parse([["rho0(K1)"], ["rho0(K2)"]])
+        k1 = RhoTerm.of_atom(RhoAtom.rho0("K1"))
+        k2 = RhoTerm.of_atom(RhoAtom.rho0("K2"))
+        assert provably_nonzero(k1, ax) == (True, "axiom")
+        assert provably_nonzero(k1 + k2, ax) == (False, None)
+        assert linearly_independent([k1, k2], ax) == 0
+
     def test_provably_nonzero_routes(self):
         ax = Axioms.parse([["rho0(K1)"]])
         k1 = RhoTerm.of_atom(RhoAtom.rho0("K1"))

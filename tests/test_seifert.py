@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from concord.seifert import (
     rho0_riemann_estimate,
     signature_at,
     signature_function,
+    _symmetric_signature,
 )
 
 
@@ -189,6 +191,49 @@ class TestSignatureFunction:
                 assert signature_at(v, tau) == signature_at(v, -tau)
             except ValueError:
                 pass
+
+    def test_against_numpy_eigenvalues(self):
+        # oracle: eigenvalue signs of (1 - w)V + (1 - conj w)V^T in floats
+        np = pytest.importorskip("numpy")
+        rng = random.Random(21)
+        checked = 0
+        for _ in range(150):
+            v = random_seifert(rng, rng.randrange(1, 6))
+            tau = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 200), rng.randrange(1, 60))
+            theta = 2 * math.atan(tau)
+            w = complex(math.cos(theta), math.sin(theta))
+            vm = np.array(v.entries, dtype=float)
+            eigs = np.linalg.eigvalsh((1 - w) * vm + (1 - w.conjugate()) * vm.T)
+            if np.min(np.abs(eigs)) < 1e-8:
+                continue
+            checked += 1
+            assert signature_at(v, tau) == int(np.sum(eigs > 0) - np.sum(eigs < 0))
+        assert checked > 100
+
+    def test_singular_form_raises(self):
+        with pytest.raises(ValueError):
+            _symmetric_signature([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
+        with pytest.raises(ValueError):
+            _symmetric_signature([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+    def test_symmetric_signature_zero_diagonals(self):
+        # hollow matrices force the row/col 0 += row/col j congruence
+        np = pytest.importorskip("numpy")
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(200):
+            n = rng.randrange(2, 7)
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m[i][j] = m[j][i] = rng.randrange(-3, 4)
+            eigs = np.linalg.eigvalsh(np.array(m, dtype=float))
+            if np.min(np.abs(eigs)) < 1e-8:
+                continue
+            checked += 1
+            frac = [[Fraction(x) for x in row] for row in m]
+            assert _symmetric_signature(frac) == np.sum(eigs > 0) - np.sum(eigs < 0)
+        assert checked > 50
 
 
 def torus_2_chain(genus):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from concord.alexmod import module_from_seifert
 from concord.construction import (
     AssumedDepth,
     BaseKnot,
@@ -87,6 +88,21 @@ class TestBing:
         # declaring rho0(K1) != 0 refines the residual to the symbol alone
         v2 = bing_obstruction(build, Axioms.parse([["rho0(K1)"]]), use_numeric=False)
         assert [str(t) for t in v2.condition.excluded] == ["-1/2*rho1(nine46)"]
+
+    def test_axiom_groups_stay_apart(self):
+        # eight9 infected along its two isotypic generators: the term
+        # rho0(K1) + rho0(K2) is nonzero only if one group declares both
+        comps = module_from_seifert(EIGHT9.seifert).isotypic_components()
+        curves = tuple(
+            CurveSpec(f"c{i}", LinkingZeroDepth(), c.generator.coords)
+            for i, c in enumerate(comps)
+        )
+        opaque = (BaseKnot("K1", None, frozenset()), BaseKnot("K2", None, frozenset()))
+        build = Infect(EIGHT9, curves, opaque)
+        apart = bing_obstruction(build, Axioms.parse([["rho0(K1)"], ["rho0(K2)"]]))
+        assert apart.conclusion != NOT_SLICE
+        joint = bing_obstruction(build, Axioms.parse([["rho0(K1)", "rho0(K2)"]]))
+        assert joint.conclusion == NOT_SLICE
 
     def test_slice_base_inconclusive(self):
         v = bing_obstruction(NINE46, Axioms(), use_numeric=False)
