@@ -38,12 +38,10 @@ from concord.alexmod import (
     Submodule,
     SubmoduleLattice,
     UnsupportedModule,
-    blanchfield,
     blanchfield_form,
     isotropic_submodules,
     module_from_seifert,
     smith_normal_form,
-    submodule_membership,
 )
 from concord.freegroup import (
     DepthResult,
@@ -52,7 +50,6 @@ from concord.freegroup import (
     WreathElement,
     bing_curve,
     derived_depth,
-    magnus_embed,
     parse_word,
 )
 from concord.construction import (

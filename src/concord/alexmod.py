@@ -9,12 +9,12 @@ order is squarefree.  The pairing used is
     Bl(x, y) = (1 - t) x^T (tV - V^T)^{-1} conj(y)   mod Q[t,t^-1],
 
 which is sesquilinear (linear over Q[t,t^-1] in x, conjugate-linear in y)
-and hermitian on this presentation.  The inverse is taken as
-adj(tV - V^T) / det(tV - V^T), with every cofactor a Bareiss determinant
-over Q[t,t^-1], so each value needs one reduction in Q(t)/Q[t,t^-1] and
-no arithmetic in Q(t).  Any fixed unit change would preserve
-isotropy, orthogonality and nonsingularity, which is all the verdict layer
-consumes.
+and hermitian on this presentation.  The inverse comes from the Smith
+normal form itself: U (tV^T - V) W = D gives (tV - V^T)^{-1} = U^T D^{-1} W^T,
+and basis vector i is column k_i of U^{-1}, so each gram entry is one
+reduction in Q(t)/Q[t,t^-1] over the invariant factor d_{k_i}, with no
+arithmetic in Q(t).  Any fixed unit change would preserve isotropy,
+orthogonality and nonsingularity, which is all the verdict layer consumes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from concord.laurent import (
     is_squarefree,
     reduce_mod,
 )
-from concord.seifert import SeifertMatrix, det_laurent
+from concord.seifert import SeifertMatrix
 
 
 class UnsupportedModule(Exception):
@@ -52,33 +52,18 @@ def _identity(n: int) -> PolyMatrix:
     ]
 
 
-def _mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[LaurentPoly.zero() for _ in range(p)] for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            if a[i][k].is_zero():
-                continue
-            for j in range(p):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
 def smith_normal_form(mat: PolyMatrix):
     """Smith normal form over Q[t,t^-1].
 
-    Returns (d, U, Uinv, W, Winv) with U*mat*W diagonal d (canonical,
-    divisibility chain d[i] | d[i+1]).
+    Returns (d, Uinv, W) with U*mat*W diagonal d (canonical, divisibility
+    chain d[i] | d[i+1]) for the unimodular U = Uinv^{-1}.
     """
     n = len(mat)
     a = [row[:] for row in mat]
-    u, uinv = _identity(n), _identity(n)
-    w, winv = _identity(n), _identity(n)
+    uinv, w = _identity(n), _identity(n)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
         for r in range(n):
             uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
 
@@ -86,13 +71,11 @@ def smith_normal_form(mat: PolyMatrix):
         for r in range(n):
             a[r][i], a[r][j] = a[r][j], a[r][i]
             w[r][i], w[r][j] = w[r][j], w[r][i]
-        winv[i], winv[j] = winv[j], winv[i]
 
     def row_add(i, k, f: LaurentPoly):
         # row_i += f * row_k
         for c in range(n):
             a[i][c] = a[i][c] + f * a[k][c]
-            u[i][c] = u[i][c] + f * u[k][c]
         for r in range(n):
             uinv[r][k] = uinv[r][k] - f * uinv[r][i]
 
@@ -101,8 +84,6 @@ def smith_normal_form(mat: PolyMatrix):
         for r in range(n):
             a[r][j] = a[r][j] + f * a[r][k]
             w[r][j] = w[r][j] + f * w[r][k]
-        for c in range(n):
-            winv[k][c] = winv[k][c] - f * winv[j][c]
 
     def row_scale(i, c: Fraction, s: int):
         # row_i *= c * t^s  (a unit)
@@ -110,7 +91,6 @@ def smith_normal_form(mat: PolyMatrix):
         iunit = LaurentPoly({-s: 1 / c})
         for col in range(n):
             a[i][col] = a[i][col] * unit
-            u[i][col] = u[i][col] * unit
         for r in range(n):
             uinv[r][i] = uinv[r][i] * iunit
 
@@ -168,7 +148,7 @@ def smith_normal_form(mat: PolyMatrix):
         row_scale(k, 1 / c, -s)
 
     d = [a[i][i] for i in range(n)]
-    return d, u, uinv, w, winv
+    return d, uinv, w
 
 
 @dataclass(frozen=True)
@@ -215,14 +195,15 @@ class AlexModule:
     """
 
     def __init__(self, seifert: SeifertMatrix, delta: LaurentPoly,
-                 orders: List[LaurentPoly], dec_to_pres: List[List[LaurentPoly]],
-                 pres_to_dec, presentation: PolyMatrix):
+                 orders: List[LaurentPoly], dec_to_pres: PolyMatrix,
+                 dual: PolyMatrix):
         self.seifert = seifert
         self.alexander = delta
         self.orders = orders
-        self._dec_to_pres = dec_to_pres  # presentation coords of each basis vector
-        self._pres_to_dec = pres_to_dec  # function
-        self.presentation = presentation
+        # basis vector i sits at slot k_i of the Smith normal form:
+        # column k_i of Uinv (its presentation coords) and column k_i of W
+        self._dec_to_pres = dec_to_pres
+        self._dual = dual
         self._components: Optional[List[IsotypicComponent]] = None
 
     # -- structure ----------------------------------------------------------
@@ -269,20 +250,6 @@ class AlexModule:
 
     def add(self, x: ModElement, y: ModElement) -> ModElement:
         return self.element([a + b for a, b in zip(x.coords, y.coords)])
-
-    def to_presentation(self, x: ModElement) -> List[LaurentPoly]:
-        n = len(self.presentation)
-        out = [LaurentPoly.zero()] * n
-        for i, c in enumerate(x.coords):
-            if c.is_zero():
-                continue
-            col = self._dec_to_pres[i]
-            for r in range(n):
-                out[r] = out[r] + c * col[r]
-        return out
-
-    def from_presentation(self, vec: Sequence[LaurentPoly]) -> ModElement:
-        return self._pres_to_dec(list(vec))
 
     # -- isotypic refinement ------------------------------------------------------
 
@@ -367,25 +334,16 @@ def _module_from_seifert(v: SeifertMatrix) -> AlexModule:
         for i in range(n)
     ]
     if n == 0:
-        return AlexModule(v, delta, [], [], lambda vec: ModElement(()), pres)
-    d, u, uinv, w, winv = smith_normal_form(pres)
+        return AlexModule(v, delta, [], [], [])
+    d, uinv, w = smith_normal_form(pres)
     keep = [i for i, di in enumerate(d) if di.is_zero() or di.degree() > 0]
     for i in keep:
         if d[i].is_zero():
             raise AssertionError("Alexander module must be torsion (Delta(1)=+-1)")
     orders = [d[i] for i in keep]
     dec_to_pres = [[uinv[r][i] for r in range(n)] for i in keep]
-
-    def pres_to_dec(vec: Sequence[LaurentPoly]) -> ModElement:
-        full = [
-            sum((u[i][j] * vec[j] for j in range(n)), LaurentPoly.zero())
-            for i in range(n)
-        ]
-        return ModElement(
-            tuple(reduce_mod(full[i], d[i]) for i in keep)
-        )
-
-    mod = AlexModule(v, delta, orders, dec_to_pres, pres_to_dec, pres)
+    dual = [[w[r][i] for r in range(n)] for i in keep]
+    mod = AlexModule(v, delta, orders, dec_to_pres, dual)
     total = mod.total_order()
     if not total.eq_up_to_units(delta):
         raise AssertionError("product of cyclic orders must match Delta")
@@ -401,41 +359,22 @@ class BlanchfieldForm:
 
     def __init__(self, module: AlexModule):
         self.module = module
-        v = module.seifert
-        n = v.size()
-        t = LaurentPoly.t()
-        if module.rank() == 0:
-            self.gram = []
-            return
-        amat = [
-            [t.scale(v.entries[i][j]) - LaurentPoly.constant(v.entries[j][i]) for j in range(n)]
-            for i in range(n)
-        ]
-        # (tV - V^T)^{-1} = adj / det, with adj[r][s] the (s, r) cofactor
-        det = det_laurent(amat)
-        adj = [[None] * n for _ in range(n)]
-        for r in range(n):
-            for s in range(n):
-                minor = [row[:r] + row[r + 1:] for k, row in enumerate(amat) if k != s]
-                cof = det_laurent(minor)
-                adj[r][s] = -cof if (r + s) % 2 else cof
+        # (tV - V^T)^{-1} = U^T D^{-1} W^T and U x_i = e_{k_i}, so
+        # Bl(x_i, x_j) = (1 - t) (W^T conj(x_j))_{k_i} / d_{k_i}
         one_minus_t = LaurentPoly({0: 1, 1: -1})
-        basis_pres = [module._dec_to_pres[i] for i in range(module.rank())]
-        gram: List[List[RationalFunctionModPoly]] = []
-        for xi in basis_pres:
-            row = []
-            for yj in basis_pres:
-                ybar = [c.conjugate() for c in yj]
-                total = LaurentPoly.zero()
-                for r in range(n):
-                    if xi[r].is_zero():
-                        continue
-                    for s in range(n):
-                        if not ybar[s].is_zero():
-                            total = total + xi[r] * adj[r][s] * ybar[s]
-                row.append(RationalFunctionModPoly(one_minus_t * total, det))
-            gram.append(row)
-        self.gram = gram
+        conj_basis = [[c.conjugate() for c in x] for x in module._dec_to_pres]
+        self.gram: List[List[RationalFunctionModPoly]] = [
+            [
+                RationalFunctionModPoly(
+                    one_minus_t * sum(
+                        (wr * yr for wr, yr in zip(wcol, ybar)), LaurentPoly.zero()
+                    ),
+                    d,
+                )
+                for ybar in conj_basis
+            ]
+            for wcol, d in zip(module._dual, module.orders)
+        ]
 
     def pairing(self, x: ModElement, y: ModElement) -> RationalFunctionModPoly:
         out = RationalFunctionModPoly.zero()
@@ -453,12 +392,6 @@ class BlanchfieldForm:
         return all(
             any(not self.gram[i][j].is_zero() for j in range(n)) for i in range(n)
         )
-
-
-def blanchfield(v: SeifertMatrix, x: ModElement, y: ModElement) -> RationalFunctionModPoly:
-    """Pairing value for elements of module_from_seifert(v)."""
-    module = module_from_seifert(v)
-    return blanchfield_form(module).pairing(x, y)
 
 
 # -- submodules -----------------------------------------------------------------
@@ -498,15 +431,6 @@ class SubmoduleLattice:
             tuple(c.key() for c in comps), tuple(c.generator for c in comps)
         )
 
-    def all_submodules(self) -> List[Submodule]:
-        n = len(self.components)
-        out = []
-        for mask in range(1 << n):
-            chosen = [self.components[i] for i in range(n) if mask >> i & 1]
-            out.append(self.submodule_from_components(chosen))
-        out.sort(key=lambda s: (len(s.component_keys), s.component_keys))
-        return out
-
     def isotropic(self) -> List[Submodule]:
         n = len(self.components)
         pair_zero = [[None] * n for _ in range(n)]
@@ -543,8 +467,3 @@ def isotropic_submodules(module: AlexModule, form: Optional[BlanchfieldForm] = N
     cases); other inputs raise UnsupportedModule.
     """
     return SubmoduleLattice(module, form).isotropic()
-
-
-def submodule_membership(module: AlexModule, p: Submodule, x: ModElement) -> int:
-    """1 iff x lies in P."""
-    return 1 if SubmoduleLattice(module).membership(p, x) else 0

@@ -54,10 +54,6 @@ BUILTIN: Dict[str, dict] = {
 }
 
 
-def builtin_names() -> Tuple[str, ...]:
-    return tuple(sorted(BUILTIN))
-
-
 def get(name: str) -> Tuple[Optional[SeifertMatrix], dict]:
     """Return (SeifertMatrix or None, flags) for a built-in knot."""
     if name not in BUILTIN:

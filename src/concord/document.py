@@ -62,9 +62,16 @@ class DocumentError(Exception):
 _KNOWN_FLAGS = {
     "ribbon", "slice", "amphichiral", "ribbon_kernels_all", "arf_zero",
 }
-_BUILD_OPS = {
-    "base", "trivial_link", "slice_link", "infect", "bing", "rdouble",
-    "sum", "multiple",
+# the fields each build op accepts, "op" included
+_BUILD_FIELDS = {
+    "base": {"op", "knot", "opaque", "flags"},
+    "trivial_link": {"op", "components"},
+    "slice_link": {"op", "label", "components"},
+    "infect": {"op", "parent", "curves", "infectants"},
+    "bing": {"op", "parent", "iterations"},
+    "rdouble": {"op", "parent", "operator"},
+    "sum": {"op", "parts"},
+    "multiple": {"op", "parent", "count"},
 }
 
 
@@ -134,16 +141,12 @@ class InputDocument:
 
     def _parse_options(self, section) -> dict:
         _expect(isinstance(section, dict), "'options' must be an object")
-        unknown = set(section) - {"tol", "factor_degree_cap", "depth_cap"}
+        unknown = set(section) - {"tol"}
         _expect(not unknown, f"unknown options: {sorted(unknown)}")
         out = {"tol": Fraction(1, 10**9), "tol_text": "1e-9"}
         if "tol" in section:
             out["tol"] = parse_tolerance(section["tol"])
             out["tol_text"] = str(section["tol"])
-        if "factor_degree_cap" in section:
-            out["factor_degree_cap"] = int(section["factor_degree_cap"])
-        if "depth_cap" in section:
-            out["depth_cap"] = int(section["depth_cap"])
         return out
 
     # -- knot / build resolution ---------------------------------------------------
@@ -181,10 +184,23 @@ class InputDocument:
             return self.build(spec, stack)
         _expect(isinstance(spec, dict), f"build node must be an object or name: {spec!r}")
         op = spec.get("op")
-        _expect(op in _BUILD_OPS, f"unknown build op {op!r} (known: {sorted(_BUILD_OPS)})")
+        _expect(
+            op in _BUILD_FIELDS, f"unknown build op {op!r} (known: {sorted(_BUILD_FIELDS)})"
+        )
+        unknown = set(spec) - _BUILD_FIELDS[op]
+        _expect(not unknown, f"'{op}': unknown fields {sorted(unknown)}")
         if op == "base":
             _expect("knot" in spec, "'base' needs a 'knot' name")
-            return self.knot(spec["knot"])
+            knot = self.knot(spec["knot"])
+            # `opaque` and `flags` are what serialization records; they
+            # must be as serialization writes them for the named knot
+            opaque, flags = knot.is_opaque(), sorted(knot.flags)
+            _expect(
+                spec.get("opaque", opaque) is opaque and spec.get("flags", flags) == flags,
+                f"'base' {knot.name!r}: opaque/flags disagree with the knot "
+                f"(opaque {opaque}, flags {flags})",
+            )
+            return knot
         if op == "trivial_link":
             _expect("components" in spec, "'trivial_link' needs 'components'")
             return TrivialLink(int(spec["components"]))

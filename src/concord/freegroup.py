@@ -314,13 +314,6 @@ def evaluate_in_quotient(word: FreeWord, level: int) -> WreathElement:
     return out
 
 
-def magnus_embed(word: FreeWord, n: int) -> WreathElement:
-    """Image in the model of F/F^(n+1); the identity iff word is in F^(n+1)."""
-    if n > DEPTH_CAP:
-        raise ResourceCapExceeded(f"embedding level {n} exceeds the cap {DEPTH_CAP}")
-    return evaluate_in_quotient(word, n + 1)
-
-
 @dataclass(frozen=True)
 class DepthResult:
     """Exact derived-series depth, or a certified lower bound at the cap."""

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from concord.laurent import _dense_divmod
+
 Poly = List[Fraction]
 
 
@@ -31,20 +33,6 @@ def evaluate(p: Sequence[Fraction], x: Fraction) -> Fraction:
 
 def derivative(p: Sequence[Fraction]) -> Poly:
     return [c * i for i, c in enumerate(p)][1:]
-
-
-def _rem(a: Poly, b: Poly) -> Poly:
-    a = list(a)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        for i, bv in enumerate(b):
-            a[d + i] -= c * bv
-        a = trim(a)
-        if not a:
-            break
-    return a
 
 
 def _primitive(p: Poly) -> Poly:
@@ -69,31 +57,15 @@ def squarefree(p: Sequence[Fraction]) -> Poly:
     g = _poly_gcd(p, derivative(p))
     if len(g) == 1:
         return p
-    q, r = _divmod(p, g)
+    q, r = _dense_divmod(p, g)
     assert not r, "squarefree division must be exact"
     return q
-
-
-def _divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bv in enumerate(b):
-            a[d + i] -= c * bv
-        a = trim(a)
-        if not a:
-            break
-    return trim(q), a
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = trim(a), trim(b)
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, _dense_divmod(a, b)[1]
         b = trim(b)
     if a:
         a = _primitive(a)
@@ -106,7 +78,7 @@ def sturm_chain(p: Poly) -> List[Poly]:
     """Sturm chain of a squarefree polynomial."""
     chain = [_primitive(trim(p)), _primitive(derivative(p))]
     while chain[-1]:
-        r = _rem(chain[-2], chain[-1])
+        r = _dense_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(_primitive([-c for c in r]))

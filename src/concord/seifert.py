@@ -437,7 +437,7 @@ def rho0(v: SeifertMatrix, tol: Fraction = Fraction(1, 10**9)) -> CertifiedReal:
 def rho0_riemann_estimate(v: SeifertMatrix, samples: int = 10**6) -> float:
     """Independent numerical oracle: a Riemann sum of float signatures at
     uniform circle samples.  Used to cross-check the certified value; the
-    exact path never consults it."""
+    exact path never consults it.  Needs numpy (the `test` extra)."""
     import numpy as np
 
     n = v.size()

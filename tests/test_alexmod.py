@@ -8,21 +8,29 @@ from concord.alexmod import (
     BlanchfieldForm,
     SubmoduleLattice,
     UnsupportedModule,
-    blanchfield,
     isotropic_submodules,
     module_from_seifert,
     smith_normal_form,
-    submodule_membership,
-    _identity,
-    _mat_mul,
 )
 from concord.laurent import LaurentPoly, exact_div, gcd, reduce_mod
-from concord.seifert import SeifertMatrix, alexander_poly
+from concord.seifert import (
+    SeifertMatrix, alexander_poly, connected_sum, det_laurent, mirror,
+)
 from test_seifert import random_seifert
 
 
 def lp(d):
     return LaurentPoly(d)
+
+
+def _mat_mul(a, b):
+    n, m, p = len(a), len(b), len(b[0]) if b else 0
+    out = [[LaurentPoly.zero() for _ in range(p)] for _ in range(n)]
+    for i in range(n):
+        for k in range(m):
+            for j in range(p):
+                out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
 
 
 NINE46 = SeifertMatrix([[0, 2], [1, 0]], name="nine46")
@@ -47,14 +55,13 @@ class TestSmith:
                  for j in range(n)]
                 for i in range(n)
             ]
-            d, u, uinv, w, winv = smith_normal_form(m)
-            prod = _mat_mul(_mat_mul(u, m), w)
-            for i in range(n):
-                for j in range(n):
-                    expect = d[i] if i == j else LaurentPoly.zero()
-                    assert prod[i][j] == expect
-            assert _mat_mul(u, uinv) == _identity(n)
-            assert _mat_mul(w, winv) == _identity(n)
+            d, uinv, w = smith_normal_form(m)
+            # U m W = diag(d) with U = Uinv^{-1}, i.e. m W = Uinv diag(d)
+            diag = [[d[i] if i == j else LaurentPoly.zero() for j in range(n)]
+                    for i in range(n)]
+            assert _mat_mul(m, w) == _mat_mul(uinv, diag)
+            assert det_laurent(uinv).is_unit()
+            assert det_laurent(w).is_unit()
             for i in range(n - 1):
                 if not d[i].is_zero() and not d[i + 1].is_zero():
                     assert exact_div(d[i + 1], d[i]) is not None
@@ -156,20 +163,9 @@ class TestBlanchfield:
             return sum((sympy.Rational(c.numerator, c.denominator) * t**e
                         for e, c in p.items()), sympy.Integer(0))
 
-        rng = random.Random(17)
-        # basis vectors with one nonzero coordinate see only the diagonal
-        # of the adjugate, so draw some with wider support on purpose
-        wanted = {False: 5, True: 3}
-        while any(wanted.values()):
-            v = random_seifert(rng, rng.choice([1, 2]))
+        def check(v):
             mod = module_from_seifert(v)
-            if mod.is_zero_module():
-                continue
-            basis = [mod._dec_to_pres[i] for i in range(mod.rank())]
-            wide = any(sum(not c.is_zero() for c in x) > 1 for x in basis)
-            if not wanted[wide]:
-                continue
-            wanted[wide] -= 1
+            basis = mod._dec_to_pres
             n = v.size()
             a = sympy.Matrix(n, n, lambda i, j: t * v.entries[i][j] - v.entries[j][i])
             ainv = DomainMatrix.from_Matrix(a).to_field().inv().to_Matrix()
@@ -182,6 +178,39 @@ class TestBlanchfield:
                     got = sym(gram[i][j].num) / sym(gram[i][j].den)
                     _, den = sympy.fraction(sympy.cancel(want - got))
                     assert sympy.Poly(den, t).is_monomial
+            return mod
+
+        rng = random.Random(17)
+        # basis vectors with one nonzero coordinate see only part of the
+        # inverse, so draw some with wider support on purpose
+        wanted = {False: 5, True: 3}
+        while any(wanted.values()):
+            v = random_seifert(rng, rng.choice([1, 2]))
+            mod = module_from_seifert(v)
+            if mod.is_zero_module():
+                continue
+            wide = any(sum(not c.is_zero() for c in x) > 1 for x in mod._dec_to_pres)
+            if wanted[wide]:
+                wanted[wide] -= 1
+                check(v)
+        # rank 2: off-diagonal entries pair two different Smith slots.  The
+        # plain sums pair their summands orthogonally; the congruent P V P^T
+        # (the same knot, P = I + E_03 unimodular) mixes them, which makes
+        # the off-diagonal entries nonzero and the gram no longer symmetric
+        for v in [connected_sum(TREFOIL, TREFOIL), connected_sum(FIG8, FIG8),
+                  connected_sum(TREFOIL, mirror(TREFOIL)),
+                  connected_sum(NINE46, mirror(NINE46))]:
+            p = [[int(i == j or (i, j) == (0, 3)) for j in range(4)] for i in range(4)]
+            mixed = SeifertMatrix([
+                [sum(p[i][k] * v.entries[k][l] * p[j][l] for k in range(4) for l in range(4))
+                 for j in range(4)]
+                for i in range(4)
+            ])
+            assert check(v).rank() == 2
+            assert check(mixed).rank() == 2
+            gram = BlanchfieldForm(module_from_seifert(mixed)).gram
+            assert gram[0][1] != gram[1][0]
+        check(connected_sum(TREFOIL, FIG8))
 
     def test_pairing_kills_orders(self):
         mod = module_from_seifert(EIGHT9)
@@ -242,16 +271,17 @@ class TestIsotropic:
 
     def test_membership(self):
         mod = module_from_seifert(EIGHT9)
-        subs = isotropic_submodules(mod)
+        lat = SubmoduleLattice(mod)
+        subs = lat.isotropic()
         g = mod.generator(0)
         nonzero_subs = [s for s in subs if not s.is_zero()]
         for s in nonzero_subs:
-            assert submodule_membership(mod, s, g) == 0
+            assert not lat.membership(s, g)
             for gen in s.generators:
-                assert submodule_membership(mod, s, gen) == 1
+                assert lat.membership(s, gen)
         zero_sub = subs[0]
-        assert submodule_membership(mod, zero_sub, mod.zero()) == 1
-        assert submodule_membership(mod, zero_sub, g) == 0
+        assert lat.membership(zero_sub, mod.zero())
+        assert not lat.membership(zero_sub, g)
 
     def test_non_squarefree_rejected(self):
         vsum = SeifertMatrix(
@@ -263,10 +293,9 @@ class TestIsotropic:
 
     def test_nine46_membership_spec_rows(self):
         mod = module_from_seifert(NINE46)
-        subs = isotropic_submodules(mod)
+        lat = SubmoduleLattice(mod)
+        subs = lat.isotropic()
         comps = mod.isotypic_components()
         alpha, beta = comps[0].generator, comps[1].generator
-        p_alpha = next(
-            s for s in subs if not s.is_zero() and submodule_membership(mod, s, alpha)
-        )
-        assert submodule_membership(mod, p_alpha, beta) == 0
+        p_alpha = next(s for s in subs if not s.is_zero() and lat.membership(s, alpha))
+        assert not lat.membership(p_alpha, beta)

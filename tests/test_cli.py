@@ -110,6 +110,31 @@ class TestDocument:
             with pytest.raises(DocumentError):
                 InputDocument({**DOC, "builds": {"re": tree}})
 
+    def test_build_fields_known_and_agreeing(self, tmp_path, capsys):
+        # `canon` writes opaque/flags on base nodes; they reload when they
+        # describe the named knot
+        InputDocument({**DOC, "builds": {
+            "a": {"op": "base", "knot": "nine46", "flags": ["ribbon", "ribbon_kernels_all"]},
+            "b": {"op": "base", "knot": "mystery", "opaque": True, "flags": ["arf_zero"]},
+        }})
+        for spec in [
+            {"op": "base", "knot": "trefoil", "bogus": 1},
+            {"op": "base", "knot": "trefoil", "flags": ["ribbon"]},
+            {"op": "base", "knot": "trefoil", "flags": "ribbon"},
+            {"op": "base", "knot": "trefoil", "opaque": True},
+            {"op": "base", "knot": "mystery", "opaque": False},
+            {"op": "rdouble", "parent": "trefoil", "iterations": 2},
+            {"op": "sum", "parts": ["trefoil"], "count": 2},
+        ]:
+            with pytest.raises(DocumentError):
+                InputDocument({**DOC, "builds": {"x": spec}})
+        p = tmp_path / "bogus.json"
+        p.write_text(json.dumps({"builds": {"x": {
+            "op": "base", "knot": "trefoil", "flags": ["ribbon"], "opaque": True, "bogus": 1,
+        }}}))
+        assert main(["--doc", str(p), "solvable", "x"]) == 1
+        assert "bogus" in capsys.readouterr().err
+
     def test_clone_depth_needs_the_expanded_shape(self, tmp_path, capsys):
         clone = {"certificate": "CloneDepth", "depth": 9}
         doc = {"builds": {"x": {
@@ -164,6 +189,13 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "-1.3333 ± 1e-4"
         assert main(["--doc", str(p), "rho0", "trefoil", "--tol", "1e-6"]) == 0
         assert capsys.readouterr().out.strip() == "-1.333333 ± 1e-6"
+
+    @pytest.mark.parametrize("option", ["depth_cap", "factor_degree_cap"])
+    def test_unread_options_rejected(self, tmp_path, capsys, option):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({"options": {option: 3}}))
+        assert main(["--doc", str(p), "arf", "trefoil"]) == 1
+        assert "unknown options" in capsys.readouterr().err
 
     def test_rho0_exact_zero(self, capsys):
         assert main(["rho0", "figure8"]) == 0
