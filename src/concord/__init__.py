@@ -82,10 +82,8 @@ from concord.rhocalc import (
     RhoTerm,
     eval_kernel,
     first_order_signatures,
-    linearly_independent,
     provably_nonzero,
     rho_additivity,
-    simplify,
 )
 from concord.verdict import (
     Verdict,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from concord import catalog
 from concord.freegroup import (
@@ -92,19 +92,7 @@ class CloneDepth:
         return self.depth, "structural"
 
 
-@dataclass(frozen=True)
-class MeridianCurve:
-    """A meridian (depth 0); infection along it just substitutes the
-    infectant."""
-
-    def lower_depth(self) -> Tuple[int, str]:
-        return 0, "certified"
-
-    def exact_depth(self) -> Optional[Tuple[int, str]]:
-        return 0, "certified"
-
-
-Certificate = Union[WordDepth, AssumedDepth, LinkingZeroDepth, CloneDepth, MeridianCurve]
+Certificate = Union[WordDepth, AssumedDepth, LinkingZeroDepth, CloneDepth]
 
 _DEPTH_CACHE: Dict[FreeWord, DepthResult] = {}
 
@@ -226,28 +214,46 @@ class Multiple:
 
 Node = Union[BaseKnot, TrivialLink, SliceLinkAssumed, Infect, BingDouble, RDouble,
              ConnectedSum, Multiple]
+T = TypeVar("T")
+
+
+def fold(node: Node, visit: Callable[[Node, Callable[[Node], T]], T]) -> T:
+    """The value of `visit` at `node`, folded bottom-up over the DAG.
+
+    `visit(n, sub)` computes n's value, calling `sub(child)` for the value
+    of a child; it runs once per distinct node object that is reached, so a
+    shared subtree is walked once.  The memo lasts for this one call and
+    holds each node it keys, so no id is reused while it is in use."""
+    memo: Dict[int, Tuple[Node, T]] = {}
+
+    def sub(n: Node) -> T:
+        hit = memo.get(id(n))
+        if hit is None:
+            hit = memo[id(n)] = (n, visit(n, sub))
+        return hit[1]
+
+    return sub(node)
 
 
 def component_count(node: Node) -> int:
-    if isinstance(node, BaseKnot):
+    return fold(node, _components)
+
+
+def _components(node: Node, sub) -> int:
+    if isinstance(node, (BaseKnot, RDouble)):
         return 1
     if isinstance(node, (TrivialLink, SliceLinkAssumed)):
         return node.components
-    if isinstance(node, Infect):
-        return component_count(node.parent)
+    if isinstance(node, (Infect, Multiple)):
+        return sub(node.parent)
     if isinstance(node, BingDouble):
-        if component_count(node.parent) != 1:
+        if sub(node.parent) != 1:
             raise ConstructionError("doubling is defined on knots here")
         return 2**node.iterations
-    if isinstance(node, RDouble):
-        return 1
     if isinstance(node, ConnectedSum):
-        for p in node.parts:
-            if component_count(p) != 1:
-                raise ConstructionError("connected sum parts must be knots")
+        if any(sub(p) != 1 for p in node.parts):
+            raise ConstructionError("connected sum parts must be knots")
         return 1
-    if isinstance(node, Multiple):
-        return component_count(node.parent)
     raise TypeError(f"not a construction node: {node!r}")
 
 
@@ -293,6 +299,10 @@ def rdouble_tower(base: Node, levels: int, operator: str = "nine46") -> Node:
 
 
 def _node_key(node: Node) -> tuple:
+    return fold(node, _key)
+
+
+def _key(node: Node, sub) -> tuple:
     if isinstance(node, BaseKnot):
         return ("base", node.name, node.seifert.entries if node.seifert else None,
                 tuple(sorted(node.flags)))
@@ -301,13 +311,13 @@ def _node_key(node: Node) -> tuple:
     if isinstance(node, SliceLinkAssumed):
         return ("slice_link", node.label, node.components)
     if isinstance(node, Infect):
-        return ("infect", _node_key(node.parent),
+        return ("infect", sub(node.parent),
                 tuple(_curve_key(c) for c in node.curves),
-                tuple(_node_key(i) for i in node.infectants))
+                tuple(sub(i) for i in node.infectants))
     if isinstance(node, ConnectedSum):
-        return ("sum", tuple(_node_key(p) for p in node.parts))
+        return ("sum", tuple(sub(p) for p in node.parts))
     if isinstance(node, Multiple):
-        return ("multiple", node.count, _node_key(node.parent))
+        return ("multiple", node.count, sub(node.parent))
     raise TypeError(f"non-canonical node in key: {node!r}")
 
 
@@ -319,10 +329,8 @@ def _curve_key(c: CurveSpec) -> tuple:
         ck = ("assumed", cert.depth)
     elif isinstance(cert, LinkingZeroDepth):
         ck = ("lk0",)
-    elif isinstance(cert, CloneDepth):
-        ck = ("clone", cert.depth)
     else:
-        ck = ("meridian",)
+        ck = ("clone", cert.depth)
     cls = None
     if c.alex_class is not None:
         cls = tuple(p.to_json() for p in c.alex_class)
@@ -340,25 +348,30 @@ def _to_hashable(x):
 def normalize_tree(node: Node) -> Node:
     """Canonical form: doubling sugar expanded to infections, multiples of
     knots expanded to connected sums, sums flattened and deterministically
-    ordered.  Structural equality of canonical forms is tree equivalence."""
+    ordered.  Structural equality of canonical forms is tree equivalence.
+    A subtree shared in the input is shared in the output."""
+    return fold(node, _normalize)
+
+
+def _normalize(node: Node, sub) -> Node:
     if isinstance(node, (BaseKnot, TrivialLink, SliceLinkAssumed)):
         return node
     if isinstance(node, RDouble):
         base, curves = operator_pattern(node.operator)
-        inner = normalize_tree(node.parent)
+        inner = sub(node.parent)
         if not is_knot(inner):
             raise ConstructionError("doubling operators apply to knots")
         return Infect(base, curves, (inner, inner))
     if isinstance(node, BingDouble):
-        inner = normalize_tree(node.parent)
+        inner = sub(node.parent)
         if not is_knot(inner):
             raise ConstructionError("iterated doubling of a knot only")
         word, rank = bing_curve(node.iterations)
         curve = CurveSpec(f"doubling_curve_{node.iterations}", WordDepth(word))
         return Infect(TrivialLink(rank), (curve,), (inner,))
     if isinstance(node, Infect):
-        parent = normalize_tree(node.parent)
-        infectants = tuple(normalize_tree(i) for i in node.infectants)
+        parent = sub(node.parent)
+        infectants = tuple(sub(i) for i in node.infectants)
         for i in infectants:
             if not is_knot(i):
                 raise ConstructionError("infectants must be knots")
@@ -372,28 +385,35 @@ def normalize_tree(node: Node) -> Node:
                     )
         return Infect(parent, node.curves, infectants)
     if isinstance(node, ConnectedSum):
-        flat: List[Node] = []
-        for p in node.parts:
-            q = normalize_tree(p)
-            if isinstance(q, ConnectedSum):
-                flat.extend(q.parts)
-            else:
-                flat.append(q)
-        for p in flat:
-            if not is_knot(p):
-                raise ConstructionError("connected sum parts must be knots")
-        if len(flat) == 1:
-            return flat[0]
-        flat.sort(key=_node_key)
-        return ConnectedSum(tuple(flat))
+        return _sum_of([sub(p) for p in node.parts])
     if isinstance(node, Multiple):
-        parent = normalize_tree(node.parent)
+        parent = sub(node.parent)
         if node.count == 1:
             return parent
         if is_knot(parent):
-            return normalize_tree(ConnectedSum((parent,) * node.count))
+            return _sum_of([parent] * node.count)
         return Multiple(parent, node.count)
     raise TypeError(f"not a construction node: {node!r}")
+
+
+def _sum_of(parts: List[Node]) -> Node:
+    """The canonical connected sum of normalized parts."""
+    flat: List[Node] = []
+    for q in parts:
+        if isinstance(q, ConnectedSum):
+            flat.extend(q.parts)
+        else:
+            flat.append(q)
+    for p in flat:
+        if not is_knot(p):
+            raise ConstructionError("connected sum parts must be knots")
+    if len(flat) == 1:
+        return flat[0]
+    # one fold keys every part, so a part repeated (as in a multiple)
+    # shares its key and comparing the copies does not walk them
+    _, keys = _node_key(ConnectedSum(tuple(flat)))
+    order = sorted(range(len(flat)), key=keys.__getitem__)
+    return ConnectedSum(tuple(flat[i] for i in order))
 
 
 # -- solvability -------------------------------------------------------------------
@@ -440,10 +460,10 @@ class SolvDegree:
 def solvability_upper_bound(node: Node) -> SolvDegree:
     """Best filtration level provable from the composition rule, Arf
     gates, and slice annotations."""
-    return _solvable(normalize_tree(node))
+    return fold(normalize_tree(node), _solvable)
 
 
-def _solvable(node: Node) -> SolvDegree:
+def _solvable(node: Node, sub) -> SolvDegree:
     if isinstance(node, BaseKnot):
         if node.is_slice():
             assumed = "slice" in node.flags and "ribbon" not in node.flags
@@ -464,11 +484,11 @@ def _solvable(node: Node) -> SolvDegree:
     if isinstance(node, SliceLinkAssumed):
         return SolvDegree(slice_all=True, assumed=True)
     if isinstance(node, ConnectedSum):
-        return _combine_min(_solvable(p) for p in node.parts)
+        return _combine_min(sub(p) for p in node.parts)
     if isinstance(node, Multiple):
-        return _solvable(node.parent)
+        return sub(node.parent)
     if isinstance(node, Infect):
-        parent = _solvable(node.parent)
+        parent = sub(node.parent)
         if not parent.known():
             return parent
         best: Optional[Fraction] = None
@@ -479,7 +499,7 @@ def _solvable(node: Node) -> SolvDegree:
             p, status = curve.certificate.lower_depth()
             if status == "assumed":
                 assumed = True
-            q = _solvable(infectant)
+            q = sub(infectant)
             if not q.known():
                 return SolvDegree(
                     notes=tuple(notes) + (
@@ -529,25 +549,37 @@ def _combine_min(parts) -> SolvDegree:
                       notes=tuple(notes))
 
 
-# -- clone expansion --------------------------------------------------------------
+# -- doubling towers and clone expansion ------------------------------------------
+
+
+def doubling_chain(node: Node) -> Tuple[List[Infect], Node]:
+    """(levels, terminal) of a normalized node: the levels are the chain of
+    generalized doublings at its top, each an infection of a base knot
+    along curves with module classes, by one knot at every curve; the
+    terminal is the node under the last level (the node itself when there
+    is none)."""
+    levels: List[Infect] = []
+    while (
+        isinstance(node, Infect)
+        and isinstance(node.parent, BaseKnot)
+        and all(i == node.infectants[0] for i in node.infectants[1:])
+        and all(c.alex_class is not None for c in node.curves)
+    ):
+        levels.append(node)
+        node = node.infectants[0]
+    return levels, node
 
 
 def tower_decomposition(node: Node) -> Tuple[int, Node]:
     """Recognize an n-fold doubling tower (9_46 pattern) and return
     (n, terminal knot).  n = 0 when the node is not such an infection."""
-    node = normalize_tree(node)
+    levels, terminal = doubling_chain(normalize_tree(node))
     base, curves = operator_pattern()
-    n = 0
-    while (
-        isinstance(node, Infect)
-        and node.parent == base
-        and node.curves == curves
-        and len(node.infectants) == 2
-        and node.infectants[0] == node.infectants[1]
-    ):
-        n += 1
-        node = node.infectants[0]
-    return n, node
+    for n, level in enumerate(levels):
+        if not (level.parent == base and level.curves == curves
+                and len(level.infectants) == 2):
+            return n, level
+    return len(levels), terminal
 
 
 def expand_clones(node: Node, i: int) -> Node:

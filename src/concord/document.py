@@ -46,6 +46,7 @@ from concord.construction import (
     TrivialLink,
     WordDepth,
     component_count,
+    fold,
     normalize_tree,
     tower_decomposition,
 )
@@ -80,6 +81,13 @@ def _expect(cond: bool, msg: str):
         raise DocumentError(msg)
 
 
+def _integer(spec: dict, key: str, where: str, default=None) -> int:
+    """A field that must be a JSON integer (true and false are not)."""
+    val = spec.get(key, default)
+    _expect(type(val) is int, f"{where}: {key!r} must be an integer, got {val!r}")
+    return val
+
+
 class InputDocument:
     def __init__(self, data: dict):
         _expect(isinstance(data, dict), "document must be a JSON object")
@@ -102,12 +110,17 @@ class InputDocument:
         _expect(isinstance(section, dict), "'knots' must be an object")
         for name, rec in section.items():
             _expect(isinstance(rec, dict), f"knot {name!r}: record must be an object")
-            unknown = set(rec) - {"seifert", "flags", "opaque", "name"}
+            unknown = set(rec) - {"seifert", "flags", "opaque"}
             _expect(not unknown, f"knot {name!r}: unknown fields {sorted(unknown)}")
             flags_in = rec.get("flags", {})
             _expect(isinstance(flags_in, dict), f"knot {name!r}: flags must be an object")
             bad = set(flags_in) - _KNOWN_FLAGS
             _expect(not bad, f"knot {name!r}: unknown flags {sorted(bad)}")
+            _expect(
+                all(type(v) is bool for v in flags_in.values())
+                and type(rec.get("opaque", False)) is bool,
+                f"knot {name!r}: flag values and 'opaque' must be true or false",
+            )
             flags = frozenset(k for k, v in flags_in.items() if v)
             if rec.get("opaque"):
                 _expect(
@@ -203,14 +216,16 @@ class InputDocument:
             return knot
         if op == "trivial_link":
             _expect("components" in spec, "'trivial_link' needs 'components'")
-            return TrivialLink(int(spec["components"]))
+            return TrivialLink(_integer(spec, "components", "'trivial_link'"))
         if op == "slice_link":
             _expect("components" in spec, "'slice_link' needs 'components'")
-            return SliceLinkAssumed(str(spec.get("label", "T")), int(spec["components"]))
+            return SliceLinkAssumed(
+                str(spec.get("label", "T")), _integer(spec, "components", "'slice_link'")
+            )
         if op == "bing":
             _expect("parent" in spec, "'bing' needs 'parent'")
             return BingDouble(
-                self._node(spec["parent"], stack), int(spec.get("iterations", 1))
+                self._node(spec["parent"], stack), _integer(spec, "iterations", "'bing'", 1)
             )
         if op == "rdouble":
             _expect("parent" in spec, "'rdouble' needs 'parent'")
@@ -225,7 +240,9 @@ class InputDocument:
             return ConnectedSum(tuple(self._node(p, stack) for p in spec["parts"]))
         if op == "multiple":
             _expect("parent" in spec and "count" in spec, "'multiple' needs parent, count")
-            return Multiple(self._node(spec["parent"], stack), int(spec["count"]))
+            return Multiple(
+                self._node(spec["parent"], stack), _integer(spec, "count", "'multiple'")
+            )
         # infect
         _expect("parent" in spec, "'infect' needs 'parent'")
         _expect(
@@ -298,7 +315,7 @@ class InputDocument:
             except ValueError as e:
                 raise DocumentError(f"curve {label!r}: {e}") from e
         if "assumed_depth" in spec:
-            return AssumedDepth(int(spec["assumed_depth"]))
+            return AssumedDepth(_integer(spec, "assumed_depth", f"curve {label!r}"))
         if spec.get("certificate") == "CloneDepth":
             _expect(
                 clone_depth is not None,
@@ -368,12 +385,13 @@ def load_document(path: Optional[str]) -> InputDocument:
 
 
 def node_to_json(node: Node) -> dict:
-    from concord.construction import normalize_tree
+    """The canonical JSON tree.  A subtree shared in the DAG is one dict
+    shared by its parents, so this is linear in the DAG's size; the text
+    `json.dumps` writes from it is a tree and doubles per doubling level."""
+    return fold(normalize_tree(node), _node_json)
 
-    return _node_json(normalize_tree(node))
 
-
-def _node_json(node: Node):
+def _node_json(node: Node, sub) -> dict:
     if isinstance(node, BaseKnot):
         out = {"op": "base", "knot": node.name}
         if node.seifert is None:
@@ -388,14 +406,14 @@ def _node_json(node: Node):
     if isinstance(node, Infect):
         return {
             "op": "infect",
-            "parent": _node_json(node.parent),
+            "parent": sub(node.parent),
             "curves": [_curve_json(c) for c in node.curves],
-            "infectants": [_node_json(i) for i in node.infectants],
+            "infectants": [sub(i) for i in node.infectants],
         }
     if isinstance(node, ConnectedSum):
-        return {"op": "sum", "parts": [_node_json(p) for p in node.parts]}
+        return {"op": "sum", "parts": [sub(p) for p in node.parts]}
     if isinstance(node, Multiple):
-        return {"op": "multiple", "count": node.count, "parent": _node_json(node.parent)}
+        return {"op": "multiple", "count": node.count, "parent": sub(node.parent)}
     raise TypeError(f"cannot serialize {node!r}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from concord.alexmod import (
     AlexModule,
@@ -31,7 +31,9 @@ from concord.construction import (
     ConstructionError,
     CurveSpec,
     Infect,
+    Multiple,
     Node,
+    fold,
     normalize_tree,
 )
 from concord.laurent import conjugate_normalized
@@ -215,43 +217,6 @@ class Axioms:
         return any(atoms <= group for group in self.groups)
 
 
-def linearly_independent(terms: Sequence[RhoTerm], axioms: Axioms) -> int:
-    """1 iff the terms are provably Q-linearly independent: one declared
-    independent group covers every atom, constants vanish, and the
-    coefficient matrix has full rank over Q."""
-    terms = list(terms)
-    if not terms:
-        return 1
-    if any(t.constant for t in terms) or not axioms.covers(*terms):
-        return 0
-    basis = sorted({a for t in terms for a in t.atoms()}, key=lambda a: a.sort_key())
-    rows = [[t.coeff(a) for a in basis] for t in terms]
-    return 1 if _rank(rows) == len(terms) else 0
-
-
-def _rank(rows: List[List[Fraction]]) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def provably_nonzero(
     term: RhoTerm,
     axioms: Axioms,
@@ -313,40 +278,41 @@ def rho0_atom_term(node: Node, registry: Optional[Dict[str, BaseKnot]] = None) -
 
     Winding-number-zero infection does not change abelian invariants, so
     the term descends to the base pattern; connected sums add.  Slice
-    bases contribute exactly zero."""
-    node = normalize_tree(node)
-    if isinstance(node, BaseKnot):
-        if registry is not None:
-            registry.setdefault(node.name, node)
-        if node.is_slice():
-            return RhoTerm.zero()
-        return RhoTerm.of_atom(RhoAtom.rho0(node.name))
-    if isinstance(node, Infect):
-        return rho0_atom_term(node.parent, registry)
-    if isinstance(node, ConnectedSum):
-        out = RhoTerm.zero()
-        for p in node.parts:
-            out = out + rho0_atom_term(p, registry)
-        return out
-    raise ConstructionError(f"rho0 needs a knot-valued tree, got {type(node).__name__}")
+    bases contribute exactly zero.  Every base knot of the tree is entered
+    in `registry` (see `collect_knots`)."""
+    term = collect_knots(normalize_tree(node), {} if registry is None else registry)
+    if not isinstance(term, RhoTerm):
+        raise ConstructionError(f"rho0 needs a knot-valued tree, got {type(term).__name__}")
+    return term
 
 
-def collect_knots(node: Node, registry: Dict[str, BaseKnot]) -> None:
-    if isinstance(node, BaseKnot):
-        existing = registry.get(node.name)
-        if existing is not None and existing != node:
-            raise ConstructionError(f"knot name {node.name!r} used inconsistently")
-        registry[node.name] = node
-        return
-    if isinstance(node, Infect):
-        collect_knots(node.parent, registry)
-        for i in node.infectants:
-            collect_knots(i, registry)
-    elif isinstance(node, ConnectedSum):
-        for p in node.parts:
-            collect_knots(p, registry)
-    elif hasattr(node, "parent"):
-        collect_knots(node.parent, registry)
+def collect_knots(node: Node, registry: Dict[str, BaseKnot]) -> Union[RhoTerm, Node]:
+    """Enter every base knot of a normalized tree in `registry` (one name
+    for two different knots is an error), in the same pass that works out
+    the tree's rho0 term: the value returned, or the node that has none
+    (a link) when the tree is not knot-valued."""
+
+    def visit(n: Node, sub) -> Union[RhoTerm, Node]:
+        if isinstance(n, BaseKnot):
+            if registry.setdefault(n.name, n) != n:
+                raise ConstructionError(f"knot name {n.name!r} used inconsistently")
+            return RhoTerm.zero() if n.is_slice() else RhoTerm.of_atom(RhoAtom.rho0(n.name))
+        if isinstance(n, Infect):
+            term = sub(n.parent)
+            for i in n.infectants:
+                sub(i)
+            return term
+        if isinstance(n, ConnectedSum):
+            terms = [sub(p) for p in n.parts]
+            for term in terms:
+                if not isinstance(term, RhoTerm):
+                    return term
+            return sum(terms, RhoTerm.zero())
+        if isinstance(n, Multiple):
+            sub(n.parent)
+        return n
+
+    return fold(node, visit)
 
 
 _RHO0_VALUE_CACHE: Dict[Tuple, CertifiedReal] = {}
@@ -427,32 +393,6 @@ def base_first_order_terms(
         else:
             terms.append(RhoTerm.of_atom(RhoAtom.rho1(f"{base.name}|P{idx}")))
     return terms, notes
-
-
-def simplify(term: RhoTerm, annotations: Dict[str, frozenset]) -> RhoTerm:
-    """Atom rewrite rules from knot annotations.
-
-    rho0(K) dies for slice/ribbon K (the abelian system always extends
-    over the disk exterior).  rho1(K) dies only for amphichiral K (the
-    zero-submodule kernel is characteristic); ribbonness alone says
-    nothing about it.  Qualified base terms rho1("K|Pi") die when the
-    annotations certify every nonzero isotropic submodule as a
-    ribbon-disk kernel."""
-    out: Dict[RhoAtom, Fraction] = {}
-    for a, c in term.coeffs:
-        base_label = a.label.split("|", 1)[0]
-        qualified = "|" in a.label
-        flags = annotations.get(base_label, frozenset())
-        slice_flag = "ribbon" in flags or "slice" in flags
-        if a.kind == "rho0" and slice_flag:
-            continue
-        if a.kind == "rho1" and not qualified and "amphichiral" in flags:
-            continue
-        if a.kind == "rho1" and qualified and slice_flag and \
-                "ribbon_kernels_all" in flags:
-            continue
-        out[a] = c
-    return RhoTerm.make(term.constant, out)
 
 
 # -- first-order signature sets ------------------------------------------------------

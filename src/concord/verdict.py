@@ -42,6 +42,7 @@ from concord.construction import (
     SliceLinkAssumed,
     SolvDegree,
     TrivialLink,
+    doubling_chain,
     normalize_tree,
     solvability_upper_bound,
 )
@@ -407,7 +408,7 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
     multiple = 1
     if isinstance(node, Multiple):
         multiple = node.count
-        node = normalize_tree(node.parent)
+        node = node.parent
     if not (
         isinstance(node, Infect)
         and isinstance(node.parent, (TrivialLink, SliceLinkAssumed))
@@ -435,23 +436,13 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
     depth_hyp = _certificate_hypothesis(curve, need_exact=True)
     hyps.append(depth_hyp)
 
-    # unwind the operator chain
-    levels: List[Tuple[BaseKnot, Tuple[CurveSpec, ...]]] = []
-    walk = tower
-    while (
-        isinstance(walk, Infect)
-        and isinstance(walk.parent, BaseKnot)
-        and len(set(walk.infectants)) == 1
-        and all(c.alex_class is not None for c in walk.curves)
-    ):
-        levels.append((walk.parent, walk.curves))
-        walk = walk.infectants[0]
-    terminal = walk
+    levels, terminal = doubling_chain(tower)
     if not isinstance(terminal, BaseKnot):
         raise ConstructionError("doubling tower must end in a base knot")
 
     pairing_failed = False
-    for j, (op_base, op_curves) in enumerate(levels, start=1):
+    for j, level in enumerate(levels, start=1):
+        op_base, op_curves = level.parent, level.curves
         if op_base.is_slice():
             hyps.append(
                 Hypothesis(

@@ -125,9 +125,26 @@ class TestDocument:
             {"op": "base", "knot": "mystery", "opaque": False},
             {"op": "rdouble", "parent": "trefoil", "iterations": 2},
             {"op": "sum", "parts": ["trefoil"], "count": 2},
+            # numeric fields are JSON integers: no truncation, no strings, no bools
+            {"op": "multiple", "parent": "trefoil", "count": 2.9},
+            {"op": "multiple", "parent": "trefoil", "count": "2"},
+            {"op": "trivial_link", "components": True},
+            {"op": "slice_link", "components": 2.0},
+            {"op": "bing", "parent": "trefoil", "iterations": "1"},
+            {"op": "infect", "parent": {"op": "trivial_link", "components": 2},
+             "curves": [{"label": "a", "assumed_depth": 1.5}], "infectants": ["trefoil"]},
         ]:
             with pytest.raises(DocumentError):
                 InputDocument({**DOC, "builds": {"x": spec}})
+        # flag values and `opaque` are JSON booleans; knot records take no name
+        for rec in [
+            {"seifert": [[-1, 1], [0, -1]], "flags": {"ribbon": "false"}},
+            {"seifert": [[-1, 1], [0, -1]], "flags": {"amphichiral": 1}},
+            {"opaque": "true"},
+            {"seifert": [[-1, 1], [0, -1]], "name": "other"},
+        ]:
+            with pytest.raises(DocumentError):
+                InputDocument({"knots": {"K": rec}, "builds": {"x": "K"}})
         p = tmp_path / "bogus.json"
         p.write_text(json.dumps({"builds": {"x": {
             "op": "base", "knot": "trefoil", "flags": ["ribbon"], "opaque": True, "bogus": 1,

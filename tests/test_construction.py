@@ -26,6 +26,7 @@ from concord.construction import (
     tower_decomposition,
 )
 from concord.freegroup import parse_word
+from concord.seifert import arf
 
 TREFOIL = BaseKnot.from_catalog("trefoil")
 UNKNOT = BaseKnot.from_catalog("unknot")
@@ -197,3 +198,43 @@ class TestExpandClones:
             expand_clones(tree, 3)
         with pytest.raises(ConstructionError):
             expand_clones(TREFOIL, 1)
+
+
+class TestSharedSubtrees:
+    """An rdouble tower is a DAG whose levels share their infectant; every
+    pass walks each distinct node once, so the work does not double per
+    level."""
+
+    @staticmethod
+    def tower_infection(height):
+        word = parse_word("[x1,x2]", 2)
+        tower = rdouble_tower(arf_zero_knot(), height)
+        return tower, Infect(TrivialLink(2), (CurveSpec("alpha", WordDepth(word)),), (tower,))
+
+    def test_arf_once_per_distinct_leaf(self, monkeypatch):
+        import concord.construction as construction
+
+        calls = []
+
+        def counting_arf(v):
+            calls.append(v)
+            return arf(v)
+
+        monkeypatch.setattr(construction, "arf", counting_arf)
+        _, tree = self.tower_infection(12)
+        assert solvability_upper_bound(tree).level == 1 + 12
+        assert len(calls) == 1
+
+    def test_height_64(self):
+        from concord.verdict import NOT_SLICE_CONDITIONAL, doubling_operator_verdict
+
+        tower, tree = self.tower_infection(64)
+        deg = solvability_upper_bound(tree)
+        assert deg.level == 1 + 64 and not deg.rational_only
+        verdict = doubling_operator_verdict(tree)
+        assert verdict.conclusion == NOT_SLICE_CONDITIONAL
+        assert verdict.solvable_bound.level == 1 + 64
+        out = expand_clones(tower, 3)
+        assert len(out.infectants) == 8
+        assert all(i == out.infectants[0] for i in out.infectants)
+        assert tower_decomposition(out.infectants[0]) == (61, arf_zero_knot())
