@@ -408,9 +408,6 @@ class Submodule:
     def is_zero(self) -> bool:
         return not self.component_keys
 
-    def canonical_form(self) -> Tuple[tuple, ...]:
-        return self.component_keys
-
     def __str__(self) -> str:
         if not self.component_keys:
             return "0"

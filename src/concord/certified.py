@@ -46,12 +46,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
     def excludes_zero(self) -> bool:
         return self.lo > 0 or self.hi < 0
 

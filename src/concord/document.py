@@ -280,7 +280,7 @@ class InputDocument:
             _expect(isinstance(raw, list), f"curve {label!r}: alex_class is a list")
             try:
                 alex_class = tuple(LaurentPoly.from_json(c) for c in raw)
-            except (ValueError, TypeError) as e:
+            except (ValueError, TypeError, ZeroDivisionError) as e:
                 raise DocumentError(f"curve {label!r}: bad alex_class: {e}") from e
         cert = self._certificate(spec, label, parent, alex_class, clone_depth)
         # `depth` and `certificate` are what serialization records; they

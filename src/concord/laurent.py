@@ -1,6 +1,13 @@
 """Exact arithmetic in Q[t, t^-1] and its fraction constructions.
 
-Laurent polynomials over Q are stored sparsely as {exponent: Fraction}.
+A Laurent polynomial over Q is stored densely as integer numerators over
+one denominator: fields (lo, nums, den) stand for
+sum_i nums[i] t^(lo+i) / den, with nums[0] and nums[-1] nonzero, den > 0
+and gcd(nums, den) = 1, so equal polynomials have equal fields.  The
+arithmetic runs on the integer kernel below (dense tuples of ints, index =
+degree), which `realroots` shares; division is one integer pseudo-division
+s*a = q*b + r, with the rational scale carried in den.
+
 Units of the ring are c*t^k (c a nonzero rational); `normalize` picks the
 canonical associate (lowest exponent 0, integer-primitive coefficients,
 positive leading coefficient), so equality up to units is bit-exact
@@ -9,129 +16,239 @@ equality of normal forms.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import gcd as igcd, lcm as ilcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
+Dense = Tuple[int, ...]
+
+# Exponent spread accepted from JSON: storage is dense, so a far-apart pair
+# of exponents in an input document must not allocate without bound.
+MAX_JSON_SPAN = 1 << 16
 
 
 class DegreeCapExceeded(Exception):
     """Factorization refused because the input degree exceeds the cap."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"rational coefficient expected, got {type(x).__name__}")
+# -- the integer kernel: dense polynomials as tuples of ints, index = degree --
+
+
+def _integers(values: Iterable) -> Tuple[List[int], int]:
+    """Rational values as (integer numerators, common denominator > 0)."""
+    values = list(values)
+    den = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            den = ilcm(den, v.denominator)
+        elif not isinstance(v, int):
+            raise TypeError(f"rational coefficient expected, got {type(v).__name__}")
+    if den == 1:
+        return [int(v) for v in values], 1
+    return [int(v * den) for v in values], den
+
+
+def primitive(coeffs: Iterable) -> Dense:
+    """The coefficients scaled by a positive rational to coprime integers,
+    trailing zeros dropped; the zero polynomial is ()."""
+    nums, _ = _integers(coeffs)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = igcd(*nums)
+    return tuple(x // g for x in nums) if g > 1 else tuple(nums)
+
+
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[int, List[int], List[int]]:
+    """Integer pseudo-division: (s, q, r) with s*a = q*b + r, s > 0 and
+    len(r) < len(b); a and b have no trailing zeros, nor have q and r.
+
+    A step scales by |lc(b)|/gcd(top, lc(b)) only when its quotient
+    coefficient is not an integer, so s = 1 whenever a/b is in Z[t]."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    lb, lc = len(b), b[-1]
+    s = 1
+    q = [0] * max(0, len(r) - lb + 1)
+    while len(r) >= lb:
+        top = r[-1]
+        if top % lc:
+            f = abs(lc) // igcd(top, lc)
+            s *= f
+            r = [x * f for x in r]
+            q = [x * f for x in q]
+            top *= f
+        c = top // lc
+        d = len(r) - lb
+        q[d] = c
+        r[d:] = [x - c * y for x, y in zip(r[d:], b)]
+        while r and not r[-1]:
+            r.pop()
+    return s, q, r
+
+
+def dense_gcd(a: Sequence[int], b: Sequence[int]) -> Dense:
+    """gcd in Z[t] by the primitive remainder sequence: primitive, with
+    positive leading coefficient; () when both are zero."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(pseudo_divmod(a, b)[2])
+    return a if not a or a[-1] > 0 else tuple(-x for x in a)
+
+
+def _lp(lo: int, nums: Dense, den: int = 1) -> "LaurentPoly":
+    """A LaurentPoly from fields already in canonical form."""
+    p = object.__new__(LaurentPoly)
+    p._lo, p._nums, p._den, p._hash = lo, nums, den, None
+    return p
+
+
+def _canon(lo: int, nums: List[int], den: int = 1) -> "LaurentPoly":
+    """sum nums[i] t^(lo+i) / den (den > 0) with its fields made canonical."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _ZERO
+    i = 0
+    while not nums[i]:
+        i += 1
+    if den != 1:
+        g = igcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    return _lp(lo + i, tuple(nums[i:]), den)
 
 
 class LaurentPoly:
     """A Laurent polynomial over Q.
 
-    Immutable; the zero polynomial is the empty coefficient map.
+    Immutable; the zero polynomial has no numerators.
 
     >>> f = LaurentPoly({2: 2, 1: -5, 0: 2})
     >>> str(f)
     '2*t^2 - 5*t + 2'
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_lo", "_nums", "_den", "_hash")
 
     def __init__(self, coeffs: Optional[Dict[int, Rational]] = None):
-        c: Dict[int, Fraction] = {}
+        p = _ZERO
         if coeffs:
-            for e, v in coeffs.items():
-                v = _frac(v)
-                if v:
-                    c[int(e)] = v
-        self._c = c
-        self._hash: Optional[int] = None
+            c = {int(e): v for e, v in coeffs.items()}
+            lo = min(c)
+            dense = [0] * (max(c) - lo + 1)
+            for e, v in c.items():
+                dense[e - lo] = v
+            p = LaurentPoly.from_coeffs(dense, lo)
+        self._lo, self._nums, self._den, self._hash = p._lo, p._nums, p._den, None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def t(cls, k: int = 1) -> "LaurentPoly":
-        return cls({k: 1})
+        return _lp(k, (1,))
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
-        return cls({0: _frac(c)})
+        return cls({0: c})
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable, low: int = 0) -> "LaurentPoly":
         """Dense constructor: coeffs[i] is the coefficient of t^(low+i)."""
-        return cls({low + i: _frac(v) for i, v in enumerate(coeffs)})
+        nums, den = _integers(coeffs)
+        return _canon(low, nums, den)
 
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._nums)
 
     def is_unit(self) -> bool:
         """True for c*t^k with c != 0."""
-        return len(self._c) == 1
+        return len(self._nums) == 1
 
     def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+        i = e - self._lo
+        if 0 <= i < len(self._nums):
+            return Fraction(self._nums[i], self._den)
+        return Fraction(0)
 
     def items(self) -> List[Tuple[int, Fraction]]:
-        return sorted(self._c.items())
+        lo, den = self._lo, self._den
+        return [(lo + i, Fraction(x, den)) for i, x in enumerate(self._nums) if x]
 
     def low(self) -> int:
-        if not self._c:
+        if not self._nums:
             raise ValueError("zero polynomial has no lowest exponent")
-        return min(self._c)
+        return self._lo
 
     def degree(self) -> int:
-        if not self._c:
+        if not self._nums:
             raise ValueError("zero polynomial has no degree")
-        return max(self._c)
+        return self._lo + len(self._nums) - 1
 
     def span(self) -> int:
         """Degree spread; the Euclidean size function on Q[t,t^-1]."""
-        if not self._c:
+        if not self._nums:
             raise ValueError("zero polynomial has no span")
-        return max(self._c) - min(self._c)
+        return len(self._nums) - 1
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _combine(self, other: "LaurentPoly", op) -> "LaurentPoly":
+        """op (add or sub) coefficientwise, over a common denominator."""
+        if not other._nums:
+            return self
+        a, b, den = self._nums, other._nums, self._den
+        if den != other._den:
+            g = igcd(den, other._den)
+            a = [x * (other._den // g) for x in a]
+            b = [x * (den // g) for x in b]
+            den = den // g * other._den
+        lo = min(self._lo, other._lo)
+        hi = max(self._lo + len(a), other._lo + len(b))
+        a = [0] * (self._lo - lo) + list(a) + [0] * (hi - self._lo - len(a))
+        b = [0] * (other._lo - lo) + list(b) + [0] * (hi - other._lo - len(b))
+        return _canon(lo, list(map(op, a, b)), den)
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, Fraction(0)) + v
-        return LaurentPoly(c)
+        return self._combine(other, operator.add) if self._nums else other
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, Fraction(0)) - v
-        return LaurentPoly(c)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return _lp(self._lo, tuple(-x for x in self._nums), self._den)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self._c or not other._c:
-            return LaurentPoly()
-        c: Dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, Fraction(0)) + v1 * v2
-        return LaurentPoly(c)
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        la = len(a)
+        out = [0] * (la + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                out[j:j + la] = [o + y * x for o, x in zip(out[j:j + la], a)]
+        den = self._den * other._den
+        if den == 1:
+            return _lp(self._lo + other._lo, tuple(out))
+        return _canon(self._lo + other._lo, out, den)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -146,79 +263,76 @@ class LaurentPoly:
         return out
 
     def scale(self, c) -> "LaurentPoly":
-        c = _frac(c)
-        if not c:
-            return LaurentPoly()
-        return LaurentPoly({e: v * c for e, v in self._c.items()})
+        (n,), d = _integers((c,))
+        return _canon(self._lo, [x * n for x in self._nums], self._den * d)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
+        return _lp(self._lo + k, self._nums, self._den) if self._nums else self
 
     def conjugate(self) -> "LaurentPoly":
         """The involution t -> t^-1."""
-        return LaurentPoly({-e: v for e, v in self._c.items()})
+        n = self._nums
+        return _lp(1 - self._lo - len(n), n[::-1], self._den) if n else self
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: v * e for e, v in self._c.items() if e})
+        lo = self._lo
+        return _canon(lo - 1, [x * (lo + i) for i, x in enumerate(self._nums)], self._den)
 
     def evaluate(self, x) -> Fraction:
-        x = _frac(x)
-        if x == 0 and self._c and min(self._c) < 0:
+        (n,), d = _integers((x,))
+        x = Fraction(n, d)
+        if x == 0 and self._nums and self._lo < 0:
             raise ZeroDivisionError("evaluation at 0 with negative exponents")
         total = Fraction(0)
-        for e, v in self._c.items():
-            total += v * x**e
-        return total
+        for c in reversed(self._nums):
+            total = total * x + c
+        return total * x**self._lo / self._den
 
     # -- normal form ---------------------------------------------------------
 
     def content_primitive(self) -> Tuple[Fraction, "LaurentPoly"]:
         """Return (c, p) with self = c*p, p integer-primitive with positive
         leading coefficient and the same support."""
-        if not self._c:
-            return Fraction(0), LaurentPoly()
-        from math import gcd as igcd, lcm as ilcm
-
-        den = 1
-        for v in self._c.values():
-            den = ilcm(den, v.denominator)
-        num = 0
-        for v in self._c.values():
-            num = igcd(num, v.numerator * (den // v.denominator))
-        c = Fraction(num, den)
-        if self._c[max(self._c)] < 0:
-            c = -c
-        return c, self.scale(1 / c)
+        if not self._nums:
+            return Fraction(0), _ZERO
+        p = self.normalize().shift(self._lo)
+        return Fraction(self._nums[-1], self._den * p._nums[-1]), p
 
     def normalize(self) -> "LaurentPoly":
         """Canonical associate: lowest exponent 0, integer-primitive,
         positive leading coefficient.  Zero maps to zero."""
-        if not self._c:
-            return LaurentPoly()
-        _, p = self.content_primitive()
-        return p.shift(-p.low())
+        n = self._nums
+        if not n:
+            return _ZERO
+        g = igcd(*n)
+        if n[-1] < 0:
+            g = -g
+        if g == 1 and self._lo == 0 and self._den == 1:
+            return self
+        return _lp(0, tuple(x // g for x in n))
 
     def unit_quotient_over(self, other: "LaurentPoly") -> Tuple[Fraction, int]:
         """For self = c * t^k * other (an associate), return (c, k)."""
         if self.is_zero() or other.is_zero():
             raise ValueError("unit quotient of zero")
-        k = self.degree() - other.degree()
-        c = self.coeff(self.degree()) / other.coeff(other.degree())
-        if self != other.scale(c).shift(k):
+        a, b = self._nums, other._nums
+        la, lb = a[-1], b[-1]
+        if len(a) != len(b) or any(x * lb != y * la for x, y in zip(a, b)):
             raise ValueError("polynomials are not associates")
-        return c, k
+        return Fraction(la * other._den, self._den * lb), self._lo - other._lo
 
     # -- comparisons / hashing ------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return (self._nums == other._nums and self._lo == other._lo
+                and self._den == other._den)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._c.items())))
+            self._hash = hash(tuple(self.items()))
         return self._hash
 
     def eq_up_to_units(self, other: "LaurentPoly") -> bool:
@@ -227,10 +341,10 @@ class LaurentPoly:
     # -- presentation -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._nums:
             return "0"
         parts = []
-        for e, v in sorted(self._c.items(), reverse=True):
+        for e, v in reversed(self.items()):
             if e == 0:
                 mon = ""
             elif e == 1:
@@ -255,7 +369,7 @@ class LaurentPoly:
 
     def to_json(self) -> list:
         """Sparse [exponent, [num, den]] pairs, exponents descending."""
-        return [[e, [v.numerator, v.denominator]] for e, v in sorted(self._c.items(), reverse=True)]
+        return [[e, [v.numerator, v.denominator]] for e, v in reversed(self.items())]
 
     @classmethod
     def from_json(cls, data: list) -> "LaurentPoly":
@@ -263,63 +377,37 @@ class LaurentPoly:
         for pair in data:
             e, (num, den) = pair
             c[int(e)] = Fraction(int(num), int(den))
+        if c and max(c) - min(c) > MAX_JSON_SPAN:
+            raise ValueError(f"exponents more than {MAX_JSON_SPAN} apart")
         return cls(c)
 
 
-# -- dense helpers (internal): polynomials as coefficient lists, index=degree --
-
-
-def _to_dense(p: LaurentPoly) -> List[Fraction]:
-    if p.is_zero():
-        return []
-    if p.low() < 0:
-        raise ValueError("dense form needs a genuine polynomial")
-    out = [Fraction(0)] * (p.degree() + 1)
-    for e, v in p.items():
-        out[e] = v
-    return out
-
-
-def _from_dense(c: List[Fraction]) -> LaurentPoly:
-    return LaurentPoly({i: v for i, v in enumerate(c) if v})
-
-
-def _dense_trim(c: List[Fraction]) -> List[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _dense_divmod(a: List[Fraction], b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bv in enumerate(b):
-            a[d + i] -= c * bv
-        _dense_trim(a)
-        if not a:
-            break
-    return _dense_trim(q), a
+_ZERO = _lp(0, ())
+_ONE = _lp(0, (1,))
 
 
 # -- ring operations ----------------------------------------------------------
 
 
+def _divide(a: LaurentPoly, b: LaurentPoly, an: Sequence[int], bn: Sequence[int],
+            qlo: int, rlo: int) -> Tuple[LaurentPoly, LaurentPoly]:
+    """a = q*b + r from the pseudo-division of the numerators an by bn,
+    whose first entries stand for t^qlo in q and t^rlo in r; the scale s
+    and the denominators of a and b go into the denominators of q and r."""
+    if not bn:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not an:
+        return _ZERO, _ZERO
+    s, q, r = pseudo_divmod(an, bn)
+    den = s * a._den
+    if b._den != 1:
+        q = [x * b._den for x in q]
+    return _canon(qlo, q, den), _canon(rlo, r, den)
+
+
 def divmod_laurent(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
     """Division with remainder in Q[t,t^-1]: a = q*b + r, span(r) < span(b)."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return LaurentPoly(), LaurentPoly()
-    la, lb = a.low(), b.low()
-    qd, rd = _dense_divmod(_to_dense(a.shift(-la)), _to_dense(b.shift(-lb)))
-    return _from_dense(qd).shift(la - lb), _from_dense(rd).shift(la)
+    return _divide(a, b, a._nums, b._nums, a._lo - b._lo, a._lo)
 
 
 def divides(d: LaurentPoly, f: LaurentPoly) -> bool:
@@ -337,12 +425,12 @@ def exact_div(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
 
 
 def gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Normalized gcd in the PID Q[t,t^-1]; gcd(0, f) = normalize(f)."""
+    """Normalized gcd in the PID Q[t,t^-1]; gcd(0, f) = normalize(f).
+
+    Normal forms have a nonzero constant term, so their gcd in Z[t] has
+    one too and is already the normalized gcd."""
     a, b = a.normalize(), b.normalize()
-    while not b.is_zero():
-        _, r = divmod_laurent(a, b)
-        a, b = b, r.normalize()
-    return a
+    return _lp(0, dense_gcd(a._nums, b._nums))
 
 
 def lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -364,14 +452,9 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPol
     """Division with remainder in Q[t] (inputs must have low >= 0):
     a = q*b + r with deg(r) < deg(b).  Unlike `divmod_laurent`, the
     remainder window is pinned to [0, deg b)."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero():
-        return LaurentPoly(), LaurentPoly()
-    if a.low() < 0 or b.low() < 0:
+    if a._lo < 0 or b._lo < 0:
         raise ValueError("poly_divmod expects genuine polynomials")
-    qd, rd = _dense_divmod(_to_dense(a), _to_dense(b))
-    return _from_dense(qd), _from_dense(rd)
+    return _divide(a, b, (0,) * a._lo + a._nums, (0,) * b._lo + b._nums, 0, 0)
 
 
 def ext_gcd_poly(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -393,13 +476,6 @@ def ext_gcd_poly(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPo
     return g, inv * s0, inv * u0
 
 
-def _t_inverse_rep(d: LaurentPoly) -> LaurentPoly:
-    """Polynomial representative of t^-1 in Q[t]/(d), for d(0) != 0:
-    t * (d(0) - d)/(t*d(0)) = 1 - d/d(0)."""
-    d0 = d.coeff(0)
-    return (LaurentPoly.constant(d0) - d).shift(-1).scale(1 / d0)
-
-
 def invert_mod(x: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Inverse of x modulo d, as a canonical residue in [0, deg d).
 
@@ -408,18 +484,10 @@ def invert_mod(x: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """
     if x.is_zero():
         raise ZeroDivisionError("zero is not invertible")
-    if d.low() != 0 or not d.coeff(0):
-        raise ValueError("modulus must be normalized with nonzero constant term")
-    m = x.low()
-    g, s, _ = ext_gcd_poly(x.shift(-m), d)
+    # Bezout on the residue: s has degree < deg d, so it is the residue of 1/x
+    g, inv, _ = ext_gcd_poly(reduce_mod(x, d), d)
     if g != LaurentPoly.one():
         raise ValueError("element is not invertible modulo the given polynomial")
-    # x = t^m * p with s*p = 1 mod d, so x^-1 = t^-m * s mod d.
-    if m > 0:
-        inv = s * (_t_inverse_rep(d) ** m)
-    else:
-        inv = s.shift(-m)
-    _, inv = poly_divmod(inv, d)
     if reduce_mod(x * inv, d) != LaurentPoly.one():
         raise AssertionError("modular inverse verification failed")
     return inv
@@ -439,7 +507,10 @@ def reduce_mod(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     m = f.low()
     p = f
     if m < 0:
-        p = f.shift(-m) * (_t_inverse_rep(d) ** (-m))
+        # t^-1 = (d(0) - d) / (t d(0)) modulo d
+        d0 = d.coeff(0)
+        t_inverse = (LaurentPoly.constant(d0) - d).shift(-1).scale(1 / d0)
+        p = f.shift(-m) * t_inverse ** (-m)
     _, r = poly_divmod(p, d)
     return r
 
@@ -462,27 +533,15 @@ def factor(f: LaurentPoly, degree_cap: int = 24) -> List[Tuple[LaurentPoly, int]
     import sympy
 
     tsym = sympy.Symbol("t")
-    coeffs = [int(g.coeff(e)) for e in range(g.degree(), -1, -1)]
-    _, sfactors = sympy.Poly(coeffs, tsym, domain="QQ").factor_list()
+    _, sfactors = sympy.Poly(list(g._nums[::-1]), tsym, domain="QQ").factor_list()
     out = []
     for fac, mult in sfactors:
-        cs = fac.all_coeffs()
-        p = LaurentPoly({len(cs) - 1 - i: Fraction(c) for i, c in enumerate(cs)})
-        p = p.normalize()
+        p = LaurentPoly.from_coeffs([Fraction(c) for c in reversed(fac.all_coeffs())]).normalize()
         if p.degree() == 0:
             continue
         out.append((p, int(mult)))
     out.sort(key=lambda pm: (pm[0].degree(), pm[0].to_json()))
     return out
-
-
-def squarefree_part(f: LaurentPoly) -> LaurentPoly:
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    g = f.normalize()
-    if g.degree() == 0:
-        return LaurentPoly.one()
-    return exact_div(g, gcd(g, g.derivative())).normalize()
 
 
 def is_squarefree(f: LaurentPoly) -> bool:

@@ -1,6 +1,10 @@
 """Exact real root isolation for rational polynomials via Sturm sequences.
 
-Polynomials are dense coefficient lists of Fractions, index = degree.
+Polynomials are dense tuples of coprime integers, index = degree: the
+integer kernel of `concord.laurent`, whose pseudo-division builds the
+Sturm chains and the squarefree part.  Entry points take any sequence of
+rationals and first scale it by a positive rational, which keeps the roots
+and the signs.  Signs at x = n/d are read off the integer d^deg * p(x).
 Intended for the small compact-form polynomials arising from signature
 jump loci; isolating intervals use dyadic endpoints so later refinement
 stays cheap.
@@ -12,83 +16,58 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from concord.laurent import _dense_divmod
+from concord.laurent import dense_gcd, primitive, pseudo_divmod
 
-Poly = List[Fraction]
-
-
-def trim(p: Sequence) -> Poly:
-    out = [Fraction(c) for c in p]
-    while out and not out[-1]:
-        out.pop()
-    return out
+Poly = Tuple[int, ...]
 
 
-def evaluate(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
+def _scaled_value(p: Sequence, x: Fraction) -> int:
+    """d^deg(p) * p(x) for x = n/d in lowest terms: the sign of p(x)."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
     for c in reversed(p):
-        total = total * x + c
-    return total
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
 
 
-def derivative(p: Sequence[Fraction]) -> Poly:
-    return [c * i for i, c in enumerate(p)][1:]
+def evaluate(p: Sequence, x) -> Fraction:
+    x = Fraction(x)
+    return Fraction(_scaled_value(p, x), x.denominator ** max(len(p) - 1, 0))
 
 
-def _primitive(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are coprime integers
-    (sign preserved; keeps Sturm chains small)."""
-    from math import gcd, lcm
-
-    den = 1
-    for c in p:
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in p:
-        num = gcd(num, c.numerator * (den // c.denominator))
-    scale = Fraction(den, num)
-    return [c * scale for c in p]
+def derivative(p: Sequence) -> Poly:
+    return tuple(c * i for i, c in enumerate(p))[1:]
 
 
-def squarefree(p: Sequence[Fraction]) -> Poly:
-    p = trim(p)
+def squarefree(p: Sequence) -> Poly:
+    """The primitive squarefree part: the same real roots, each simple."""
+    p = primitive(p)
     if len(p) <= 1:
         return p
-    g = _poly_gcd(p, derivative(p))
+    g = dense_gcd(p, derivative(p))
     if len(g) == 1:
         return p
-    q, r = _dense_divmod(p, g)
+    _, q, r = pseudo_divmod(p, g)
     assert not r, "squarefree division must be exact"
-    return q
+    return tuple(q)
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, _dense_divmod(a, b)[1]
-        b = trim(b)
-    if a:
-        a = _primitive(a)
-        if a[-1] < 0:
-            a = [-c for c in a]
-    return a
-
-
-def sturm_chain(p: Poly) -> List[Poly]:
-    """Sturm chain of a squarefree polynomial."""
-    chain = [_primitive(trim(p)), _primitive(derivative(p))]
+def sturm_chain(p: Sequence) -> List[Poly]:
+    """Sturm chain of a squarefree polynomial, each member primitive."""
+    chain = [primitive(p), primitive(derivative(p))]
     while chain[-1]:
-        r = _dense_divmod(chain[-2], chain[-1])[1]
+        r = pseudo_divmod(chain[-2], chain[-1])[2]
         if not r:
             break
-        chain.append(_primitive([-c for c in r]))
+        chain.append(primitive([-c for c in r]))
     return [c for c in chain if c]
 
 
 def sign_variations(chain: List[Poly], x: Fraction) -> int:
     signs = []
     for p in chain:
-        v = evaluate(p, x)
+        v = _scaled_value(p, x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -107,7 +86,7 @@ class IsolatedRoot:
     (lo, hi) whose endpoints are not roots.
     """
 
-    poly: tuple
+    poly: Poly
     lo: Fraction
     hi: Fraction
 
@@ -120,12 +99,12 @@ class IsolatedRoot:
     def refine(self, width: Fraction) -> "IsolatedRoot":
         if self.is_exact():
             return self
-        p = list(self.poly)
+        p = self.poly
         lo, hi = self.lo, self.hi
-        flo = evaluate(p, lo)
+        flo = _scaled_value(p, lo)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            fmid = evaluate(p, mid)
+            fmid = _scaled_value(p, mid)
             if not fmid:
                 return IsolatedRoot(self.poly, mid, mid)
             if (flo > 0) != (fmid > 0):
@@ -134,22 +113,18 @@ class IsolatedRoot:
                 lo, flo = mid, fmid
         return IsolatedRoot(self.poly, lo, hi)
 
-    def interval(self) -> Tuple[Fraction, Fraction]:
-        return self.lo, self.hi
 
-
-def isolate_roots(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> List[IsolatedRoot]:
+def isolate_roots(p: Sequence, lo: Fraction, hi: Fraction) -> List[IsolatedRoot]:
     """Isolate all real roots of squarefree p inside the open interval
     (lo, hi); the endpoints must not be roots.  Roots are returned in
     increasing order."""
-    p = trim(p)
+    p = primitive(p)
     if len(p) <= 1:
         return []
     lo, hi = Fraction(lo), Fraction(hi)
-    if not evaluate(p, lo) or not evaluate(p, hi):
+    if not _scaled_value(p, lo) or not _scaled_value(p, hi):
         raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(p)
-    key = tuple(p)
     out: List[IsolatedRoot] = []
 
     def recurse(a: Fraction, b: Fraction):
@@ -158,19 +133,19 @@ def isolate_roots(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> List[Iso
         if n == 0:
             return
         if n == 1:
-            out.append(IsolatedRoot(key, a, b))
+            out.append(IsolatedRoot(p, a, b))
             return
         mid = (a + b) / 2
-        if not evaluate(p, mid):
+        if not _scaled_value(p, mid):
             # exact rational root at the midpoint; shrink a hole around it
             eps = (b - a) / 4
             while (
-                not evaluate(p, mid - eps)
-                or not evaluate(p, mid + eps)
+                not _scaled_value(p, mid - eps)
+                or not _scaled_value(p, mid + eps)
                 or count_roots_half_open(chain, mid - eps, mid + eps) > 1
             ):
                 eps /= 2
-            out.append(IsolatedRoot(key, mid, mid))
+            out.append(IsolatedRoot(p, mid, mid))
             recurse(a, mid - eps)
             recurse(mid + eps, b)
         else:

@@ -417,9 +417,6 @@ class FirstOrderSignatures:
     def term_strings(self) -> List[str]:
         return [str(t) for t in self.terms]
 
-    def multiset(self) -> Tuple[str, ...]:
-        return tuple(sorted(str(t) for t in self.terms))
-
     def atom_values(self, tol: Fraction = Fraction(1, 10**9)) -> Dict[RhoAtom, CertifiedReal]:
         return resolve_rho0_values(self.registry, tol)
 

@@ -15,7 +15,9 @@ Sign convention: sigma(omega) is the signature of (1-omega)V +
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from concord import realroots
@@ -71,53 +73,39 @@ class SeifertMatrix:
         return f"SeifertMatrix({label}, {len(self.entries)}x{len(self.entries)})"
 
 
-def det_integer(m: List[List[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
+def _bareiss(m: list, one, exact):
+    """Fraction-free Bareiss determinant over an integral domain whose
+    exact division is `exact`; every division in it is exact."""
     n = len(m)
     if n == 0:
-        return 1
+        return one
     m = [row[:] for row in m]
     sign = 1
-    prev = 1
+    prev = one
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return m[k][k]  # the zero of the domain: no pivot in column k
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                m[i][j] = exact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
-    return sign * m[-1][-1]
+    return m[-1][-1] if sign == 1 else -m[-1][-1]
+
+
+def det_integer(m: List[List[int]]) -> int:
+    """Bareiss determinant of an integer matrix."""
+    return _bareiss(m, 1, operator.floordiv)
 
 
 def det_laurent(m: List[List[LaurentPoly]]) -> LaurentPoly:
-    """Bareiss determinant over Q[t,t^-1] (exact divisions)."""
-    n = len(m)
-    if n == 0:
-        return LaurentPoly.one()
-    m = [row[:] for row in m]
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-        prev = m[k][k]
-    d = m[-1][-1]
-    return d if sign == 1 else -d
+    """Bareiss determinant over Q[t,t^-1]."""
+    return _bareiss(m, LaurentPoly.one(), exact_div)
 
 
 def mirror(v: SeifertMatrix) -> SeifertMatrix:
@@ -255,32 +243,20 @@ def signature_at(v: SeifertMatrix, tau: Fraction) -> int:
 # -- signature function -----------------------------------------------------------
 
 
-def _compact_form(delta: LaurentPoly) -> List[Fraction]:
+def _compact_form(delta: LaurentPoly) -> Tuple[int, ...]:
     """Write the (normalized, palindromic, even-degree) polynomial as
-    p(t) = t^(d/2) g(t + 1/t) and return g as a dense list in x."""
-    p = delta
-    d = p.degree()
-    assert d % 2 == 0, "palindromic knot polynomial must have even degree"
-    g = [Fraction(0)] * (d // 2 + 1)
-    f = p
-    while not f.is_zero():
-        fd = f.degree()
-        assert fd % 2 == 0 and f.low() == 0
-        c = f.coeff(fd)
-        half = fd // 2
-        g[half] += c
-        # subtract c * t^half * (t + 1/t)^half = c * (t^2 + 1)^half
-        f = f - (LaurentPoly({2: 1, 0: 1}) ** half).scale(c)
-        if not f.is_zero():
-            f = f.shift(-f.low())
-    # verify: p == t^(d/2) g(t + 1/t)
-    x = LaurentPoly({1: 1, -1: 1})
-    check = LaurentPoly.zero()
-    for i, c in enumerate(g):
-        if c:
-            check = check + (x**i).scale(c)
-    assert (check.shift(d // 2)) == p, "compact form verification failed"
-    return realroots.trim(g)
+    p(t) = t^m g(t + 1/t) and return g as a dense integer tuple in x."""
+    m, odd = divmod(delta.degree(), 2)
+    assert not odd and delta.low() == 0, "normalized palindromic polynomial of even degree"
+    a = [int(delta.coeff(e)) for e in range(2 * m + 1)]
+    g = [0] * (m + 1)
+    for k in range(m, -1, -1):
+        # subtract g_k t^m (t + 1/t)^k = g_k sum_j C(k, j) t^(m - k + 2j)
+        g[k] = c = a[m + k]
+        for j in range(k + 1):
+            a[m - k + 2 * j] -= c * comb(k, j)
+    assert not any(a), "compact form verification failed"
+    return tuple(g)
 
 
 class SignatureFunction:

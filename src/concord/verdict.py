@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from concord.alexmod import blanchfield_form, module_from_seifert
 from concord.construction import (
@@ -441,6 +441,7 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
         raise ConstructionError("doubling tower must end in a base knot")
 
     pairing_failed = False
+    pairings: Dict[tuple, Tuple[str, str]] = {}   # one computation per distinct operator
     for j, level in enumerate(levels, start=1):
         op_base, op_curves = level.parent, level.curves
         if op_base.is_slice():
@@ -456,9 +457,13 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
                     f"operator level {j}: base {op_base.name!r} is slice", "failed"
                 )
             )
-        hyp = _pairing_hypothesis(j, op_base, op_curves)
-        hyps.append(hyp)
-        pairing_failed = pairing_failed or hyp.status == "failed"
+        key = (op_base.seifert, tuple(c.alex_class for c in op_curves))
+        if key not in pairings:
+            pairings[key] = _pairing_status(op_base, op_curves)
+        status, reason = pairings[key]
+        hyps.append(Hypothesis(
+            f"operator level {j}: curve classes pair nontrivially", status, reason))
+        pairing_failed = pairing_failed or status == "failed"
 
     # Arf gate on the terminal knot
     if terminal.seifert is not None:
@@ -529,19 +534,16 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
     )
 
 
-def _pairing_hypothesis(j: int, base: BaseKnot, curves: Sequence[CurveSpec]) -> Hypothesis:
-    """The curve classes must span a submodule on which the pairing is not
-    identically zero (certified by exact computation)."""
-    name = f"operator level {j}: curve classes pair nontrivially"
+def _pairing_status(base: BaseKnot, curves: Sequence[CurveSpec]) -> Tuple[str, str]:
+    """(status, reason) of "the curve classes span a submodule on which the
+    pairing is not identically zero" (certified by exact computation)."""
     if base.seifert is None:
-        return Hypothesis(name, "assumed", "opaque operator base")
+        return "assumed", "opaque operator base"
     module = module_from_seifert(base.seifert)
     form = blanchfield_form(module)
     elems = [module.element(list(c.alex_class)) for c in curves]
     for x in elems:
         for y in elems:
             if not form.pairing(x, y).is_zero():
-                return Hypothesis(name, "certified", "nonvanishing pair found")
-    return Hypothesis(
-        name, "failed", "pairing vanishes on the span (isotropic curve set)"
-    )
+                return "certified", "nonvanishing pair found"
+    return "failed", "pairing vanishes on the span (isotropic curve set)"

@@ -133,6 +133,11 @@ class TestDocument:
             {"op": "bing", "parent": "trefoil", "iterations": "1"},
             {"op": "infect", "parent": {"op": "trivial_link", "components": 2},
              "curves": [{"label": "a", "assumed_depth": 1.5}], "infectants": ["trefoil"]},
+            # alex_class: no zero denominator; exponents within the dense storage bound
+            {"op": "infect", "parent": "nine46", "infectants": ["trefoil"],
+             "curves": [{"label": "a", "alex_class": [[[0, [1, 0]]]]}]},
+            {"op": "infect", "parent": "nine46", "infectants": ["trefoil"],
+             "curves": [{"label": "a", "alex_class": [[[10**9, [1, 1]], [0, [1, 1]]]]}]},
         ]:
             with pytest.raises(DocumentError):
                 InputDocument({**DOC, "builds": {"x": spec}})
@@ -318,3 +323,21 @@ class TestCommands:
         p = tmp_path / "d.json"
         p.write_text(json.dumps(doc))
         assert main(["--doc", str(p), "verdict", "bad"]) == 2
+
+
+def test_import_loads_no_heavy_modules():
+    """`import concord` pulls in neither sympy nor numpy: every command and
+    every caller pays the package import, only factoring needs sympy, and
+    only the Riemann-sum oracle needs numpy."""
+    import os
+    import subprocess
+    import sys
+
+    import concord
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(concord.__file__)))
+    code = "import sys, concord; print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -27,6 +27,7 @@ from concord.construction import (
 )
 from concord.freegroup import parse_word
 from concord.seifert import arf
+from concord.verdict import Hypothesis
 
 TREFOIL = BaseKnot.from_catalog("trefoil")
 UNKNOT = BaseKnot.from_catalog("unknot")
@@ -224,6 +225,34 @@ class TestSharedSubtrees:
         _, tree = self.tower_infection(12)
         assert solvability_upper_bound(tree).level == 1 + 12
         assert len(calls) == 1
+
+    def test_pairing_once_per_operator(self, monkeypatch):
+        from concord.alexmod import BlanchfieldForm
+        from concord.verdict import NOT_SLICE_CONDITIONAL, doubling_operator_verdict
+
+        calls = []
+        pairing = BlanchfieldForm.pairing
+
+        def counting_pairing(form, x, y):
+            calls.append((x, y))
+            return pairing(form, x, y)
+
+        monkeypatch.setattr(BlanchfieldForm, "pairing", counting_pairing)
+        counts, verdicts = [], []
+        for height in (1, 12):
+            calls.clear()
+            verdicts.append(doubling_operator_verdict(self.tower_infection(height)[1]))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        short, tall = verdicts
+        assert short.conclusion == tall.conclusion == NOT_SLICE_CONDITIONAL
+        name = "operator level {}: curve classes pair nontrivially"
+        (first,) = [h for h in short.hypotheses if "pair nontrivially" in h.name]
+        assert first == Hypothesis(name.format(1), "certified", "nonvanishing pair found")
+        assert [h for h in tall.hypotheses if "pair nontrivially" in h.name] == [
+            Hypothesis(name.format(j), first.status, first.detail) for j in range(1, 13)
+        ]
+        assert tall.hypotheses[:2] == short.hypotheses[:2]
 
     def test_height_64(self):
         from concord.verdict import NOT_SLICE_CONDITIONAL, doubling_operator_verdict

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from concord.laurent import (
     gcd,
     invert_mod,
     lcm,
+    poly_divmod,
     reduce_mod,
-    squarefree_part,
 )
 
 
@@ -214,10 +215,6 @@ class TestFactor:
             assert prod.eq_up_to_units(f)
             assert sum(m * p.degree() for p, m in fs) == f.normalize().degree()
 
-    def test_squarefree_part(self):
-        f = P_EX * P_EX * Q_EX
-        assert squarefree_part(f) == (P_EX * Q_EX).normalize()
-
 
 class TestRationalFunctionModPoly:
     def test_canonical_reduction(self):
@@ -272,3 +269,145 @@ def test_str_forms():
     assert str(LaurentPoly()) == "0"
     assert str(lp({2: 2, 1: -5, 0: 2})) == "2*t^2 - 5*t + 2"
     assert str(lp({-1: 1, 0: 1})) == "1 + t^-1"
+
+
+class TestKernelAgainstSympy:
+    """Seeded random Laurent polynomials with non-integral rational
+    coefficients and negative exponents; sympy over QQ is the oracle."""
+
+    @staticmethod
+    def rand(rng, nonzero=False, low=-3, high=3):
+        while True:
+            c = {rng.randrange(low, high + 1): Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+                 for _ in range(rng.randrange(1, 6))}
+            f = LaurentPoly(c)
+            if f or not nonzero:
+                return f
+
+    def modulus(self, rng):
+        """A normalized modulus with nonzero constant term, degree 1..4."""
+        while True:
+            d = self.rand(rng, True, 0, rng.randrange(1, 5)).normalize()
+            if d.degree() > 0:
+                return d
+
+    @staticmethod
+    def sym(f, k=None):
+        """f * t^-k as a sympy Poly over QQ; k = low(f) by default."""
+        import sympy
+
+        t = sympy.Symbol("t")
+        k = (f.low() if f else 0) if k is None else k
+        expr = sum((sympy.Rational(c.numerator, c.denominator) * t ** (e - k)
+                    for e, c in f.items()), sympy.Integer(0))
+        return sympy.Poly(expr, t, domain="QQ")
+
+    @staticmethod
+    def lp_of(poly, k=0):
+        return LaurentPoly.from_coeffs(
+            [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())], k)
+
+    def residue(self, f, d):
+        """Oracle for reduce_mod: f = F t^k as a polynomial of degree < deg d
+        congruent to f modulo d."""
+        import sympy
+
+        dp = self.sym(d)
+        k = f.low() if f else 0
+        tk = self.sym(LaurentPoly.t(abs(k)), 0)
+        if k < 0:
+            tk = sympy.Poly(sympy.invert(tk.as_expr(), dp.as_expr()), dp.gens[0], domain="QQ")
+        return (self.sym(f) * tk).rem(dp)
+
+    def test_divisions(self):
+        rng = random.Random(8101)
+        for _ in range(150):
+            a, b = self.rand(rng), self.rand(rng, True)
+            qs, rs = self.sym(a).div(self.sym(b))
+            ka = a.low() if a else b.low()
+            assert divmod_laurent(a, b) == (self.lp_of(qs, ka - b.low()), self.lp_of(rs, ka))
+            # Q[t]: the remainder window is [0, deg b)
+            a, b = self.rand(rng, low=0, high=5), self.rand(rng, True, 0, 3)
+            qs, rs = self.sym(a, 0).div(self.sym(b, 0))
+            assert poly_divmod(a, b) == (self.lp_of(qs), self.lp_of(rs))
+
+    def test_gcd_and_ext_gcd(self):
+        rng = random.Random(8102)
+        for _ in range(120):
+            common = self.rand(rng, True)
+            a = self.rand(rng) * common if rng.random() < 0.6 else self.rand(rng)
+            b = self.rand(rng) * common
+            assert gcd(a, b) == self.lp_of(self.sym(a).gcd(self.sym(b))).normalize()
+            if a.is_zero() or b.is_zero():
+                continue
+            a, b = a.shift(-a.low()), b.shift(-b.low())
+            g, s, u = ext_gcd_poly(a, b)
+            assert s * a + u * b == g == gcd(a, b)
+            ss, us, _ = self.sym(a).gcdex(self.sym(b))
+            lead = g.coeff(g.degree())
+            assert (s, u) == (self.lp_of(ss).scale(lead), self.lp_of(us).scale(lead))
+
+    def test_reduce_and_invert_mod(self):
+        import sympy
+
+        rng = random.Random(8103)
+        for _ in range(120):
+            d = self.modulus(rng)
+            f = self.rand(rng)
+            assert reduce_mod(f, d) == self.lp_of(self.residue(f, d))
+            if f.is_zero() or gcd(f, d) != LaurentPoly.one():
+                continue
+            dp = self.sym(d)
+            inverse = sympy.invert(self.residue(f, d).as_expr(), dp.as_expr())
+            assert invert_mod(f, d) == self.lp_of(sympy.Poly(inverse, dp.gens[0], domain="QQ"))
+
+    def test_rational_function_canonical_form(self):
+        rng = random.Random(8104)
+        for _ in range(120):
+            num = self.rand(rng) * (self.rand(rng, True) if rng.random() < 0.5 else LaurentPoly.one())
+            den = self.rand(rng, True) * self.modulus(rng)
+            if num and rng.random() < 0.5:
+                den = den * num.shift(rng.randrange(-2, 3))
+            x = RationalFunctionModPoly(num, den)
+            if num.is_zero():
+                assert (x.num, x.den) == (LaurentPoly(), LaurentPoly.one())
+                continue
+            # oracle: cancel in Q[t], make the denominator primitive with
+            # positive leading coefficient, reduce the numerator modulo it
+            np_, dp = self.sym(num), self.sym(den)
+            g = np_.gcd(dp)
+            n1, d1 = self.lp_of(np_.quo(g), num.low() - den.low()), self.lp_of(dp.quo(g))
+            c, d_norm = d1.content_primitive()
+            r = self.residue(n1.scale(1 / c), d_norm) if d_norm.degree() > 0 else None
+            if r is None or r.is_zero:
+                assert (x.num, x.den) == (LaurentPoly(), LaurentPoly.one())
+            else:
+                assert (x.num, x.den) == (self.lp_of(r), d_norm)
+
+    def test_representation_is_canonical(self):
+        rng = random.Random(8105)
+        for _ in range(300):
+            f = self.rand(rng)
+            g = self.rand(rng, True)
+            c = Fraction(rng.choice([-5, -2, 3, 7]), rng.choice([1, 2, 9]))
+            k = rng.randrange(-4, 5)
+            routes = [
+                LaurentPoly(dict(f.items())),
+                LaurentPoly.from_coeffs([f.coeff(e) for e in range(-3, 4)], -3),
+                (f + g) - g,
+                f * LaurentPoly.one(),
+                f.scale(c).scale(1 / c),
+                f.shift(k).shift(-k),
+                f.conjugate().conjugate(),
+                LaurentPoly.from_json(f.to_json()),
+                sum((LaurentPoly({e: v}) for e, v in f.items()), LaurentPoly.zero()),
+                divmod_laurent(f * g, g)[0],
+            ]
+            for p in routes:
+                assert (p._lo, p._nums, p._den) == (f._lo, f._nums, f._den)
+                assert hash(p) == hash(f) == hash(tuple(sorted(dict(f.items()).items())))
+            if f:
+                assert f._nums[0] and f._nums[-1] and f._den > 0
+                assert math.gcd(f._den, *f._nums) == 1
+            else:
+                assert (f._lo, f._nums, f._den) == (0, (), 1)

@@ -91,3 +91,35 @@ def test_squarefree():
     sf = squarefree(p)
     found = isolate_roots(sf, F(-3), F(3))
     assert len(found) == 2
+
+
+def test_sturm_counts_against_sympy():
+    """Seeded compact forms g(x) of random Seifert matrices of genus <= 6
+    (Delta = t^g g(t + 1/t)): the roots found in (-2, 2) are as many as
+    sympy counts, and each isolating interval holds one sign change."""
+    import sympy
+
+    from concord.seifert import _compact_form, alexander_poly
+    from test_seifert import random_seifert
+
+    x = sympy.Symbol("x")
+    rng = random.Random(4242)
+    seen = 0
+    for genus in range(1, 7):
+        for _ in range(12):
+            delta = alexander_poly(random_seifert(rng, genus))
+            if delta.degree() == 0:
+                continue
+            g = _compact_form(delta)
+            gs = sympy.Poly(list(reversed(g)), x, domain="QQ")
+            gs = gs.quo(gs.gcd(gs.diff(x)))
+            roots = isolate_roots(squarefree(g), F(-2), F(2))
+            assert len(roots) == gs.count_roots(-2, 2)
+            seen += len(roots)
+            for r in roots:
+                if r.is_exact():
+                    assert gs.eval(r.lo) == 0
+                    continue
+                lo, hi = gs.eval(r.lo), gs.eval(r.hi)
+                assert lo * hi < 0 and gs.count_roots(r.lo, r.hi) == 1
+    assert seen >= 20
