@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from concord.laurent import (
     LaurentPoly,
@@ -32,6 +32,7 @@ from concord.laurent import (
     factor,
     invert_mod,
     is_squarefree,
+    memo,
     reduce_mod,
 )
 from concord.seifert import SeifertMatrix
@@ -296,34 +297,13 @@ class AlexModule:
         return f"AlexModule({parts})"
 
 
-_MODULE_CACHE: Dict[tuple, "AlexModule"] = {}
-_FORM_CACHE: Dict[int, "BlanchfieldForm"] = {}
-
-
+@memo
 def module_from_seifert(v: SeifertMatrix) -> AlexModule:
     """Alexander module presented by tV^T - V, in Smith normal form.
 
-    Modules are immutable, so repeated calls on the same matrix share one
-    instance."""
-    cached = _MODULE_CACHE.get(v.entries)
-    if cached is not None:
-        return cached
-    mod = _module_from_seifert(v)
-    _MODULE_CACHE[v.entries] = mod
-    return mod
-
-
-def blanchfield_form(module: AlexModule) -> "BlanchfieldForm":
-    """Shared pairing instance for a module (the gram matrix is costly)."""
-    key = id(module)
-    cached = _FORM_CACHE.get(key)
-    if cached is None:
-        cached = BlanchfieldForm(module)
-        _FORM_CACHE[key] = cached
-    return cached
-
-
-def _module_from_seifert(v: SeifertMatrix) -> AlexModule:
+    Memoized by the value of the matrix: modules are immutable, so
+    repeated calls on equal matrices share one instance until the LRU
+    evicts it; a later call then builds an equal, fresh module."""
     from concord.seifert import alexander_poly
 
     n = v.size()
@@ -348,6 +328,15 @@ def _module_from_seifert(v: SeifertMatrix) -> AlexModule:
     if not total.eq_up_to_units(delta):
         raise AssertionError("product of cyclic orders must match Delta")
     return mod
+
+
+@memo
+def blanchfield_form(module: AlexModule) -> "BlanchfieldForm":
+    """Shared pairing instance for a module (the gram matrix is costly).
+
+    Memoized by module identity (`AlexModule` has no value equality); the
+    LRU holds each module it keys, so an id is never reused while cached."""
+    return BlanchfieldForm(module)
 
 
 # -- Blanchfield form -----------------------------------------------------------

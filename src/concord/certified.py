@@ -74,24 +74,8 @@ class Interval:
         cands = [self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi]
         return Interval(min(cands), max(cands))
 
-    def dyadic_outward(self, bits: int) -> "Interval":
-        """Enclosing interval with denominators 2^bits (keeps later
-        arithmetic cheap)."""
-        scale = 1 << bits
-        lo = Fraction(_floor_scaled(self.lo, scale), scale)
-        hi = Fraction(_ceil_scaled(self.hi, scale), scale)
-        return Interval(lo, hi)
-
     def __repr__(self) -> str:
         return f"Interval({self.lo}, {self.hi})"
-
-
-def _floor_scaled(x: Fraction, scale: int) -> int:
-    return (x.numerator * scale) // x.denominator
-
-
-def _ceil_scaled(x: Fraction, scale: int) -> int:
-    return -((-x.numerator * scale) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -157,6 +141,10 @@ class CertifiedReal:
 
 # -- pi -----------------------------------------------------------------------
 
+# The tightest enclosure computed so far; every looser request is answered
+# with it.  Not a `laurent.memo` keyed by err: callers read its lo/hi (the
+# CSV sampling of `concord sig`), and a fresh enclosure per err could change
+# their output.
 _PI_CACHE: Tuple[int, Interval] = (0, Interval(3, 4))
 
 

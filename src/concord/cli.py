@@ -90,6 +90,8 @@ def cmd_alex(args, doc: InputDocument) -> int:
 def cmd_sig(args, doc: InputDocument) -> int:
     from concord.certified import pi_interval
 
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     v = _seifert_of(doc, args.knot)
     sf = signature_function(v)
     err = Fraction(1, 10**12)

@@ -19,13 +19,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from concord import catalog
-from concord.freegroup import (
-    DepthResult,
-    FreeWord,
-    bing_curve,
-    derived_depth,
-)
-from concord.laurent import LaurentPoly
+from concord.freegroup import FreeWord, bing_curve, derived_depth
+from concord.laurent import LaurentPoly, memo
 from concord.seifert import SeifertMatrix, arf
 
 
@@ -44,10 +39,10 @@ class WordDepth:
     word: FreeWord
 
     def lower_depth(self) -> Tuple[int, str]:
-        return _cached_depth(self.word).value, "certified"
+        return derived_depth(self.word).value, "certified"
 
     def exact_depth(self) -> Optional[Tuple[int, str]]:
-        res = _cached_depth(self.word)
+        res = derived_depth(self.word)
         return (res.value, "certified") if res.exact else None
 
 
@@ -93,17 +88,6 @@ class CloneDepth:
 
 
 Certificate = Union[WordDepth, AssumedDepth, LinkingZeroDepth, CloneDepth]
-
-_DEPTH_CACHE: Dict[FreeWord, DepthResult] = {}
-
-
-def _cached_depth(word: FreeWord) -> DepthResult:
-    res = _DEPTH_CACHE.get(word)
-    if res is None:
-        res = derived_depth(word)
-        _DEPTH_CACHE[word] = res
-    return res
-
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -224,12 +208,12 @@ def fold(node: Node, visit: Callable[[Node, Callable[[Node], T]], T]) -> T:
     of a child; it runs once per distinct node object that is reached, so a
     shared subtree is walked once.  The memo lasts for this one call and
     holds each node it keys, so no id is reused while it is in use."""
-    memo: Dict[int, Tuple[Node, T]] = {}
+    seen: Dict[int, Tuple[Node, T]] = {}
 
     def sub(n: Node) -> T:
-        hit = memo.get(id(n))
+        hit = seen.get(id(n))
         if hit is None:
-            hit = memo[id(n)] = (n, visit(n, sub))
+            hit = seen[id(n)] = (n, visit(n, sub))
         return hit[1]
 
     return sub(node)
@@ -264,18 +248,13 @@ def is_knot(node: Node) -> bool:
 # -- the 9_46 operator data ---------------------------------------------------------
 
 
-_OPERATOR_CACHE: Dict[str, Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]] = {}
-
-
+@memo
 def operator_pattern(name: str = "nine46") -> Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]:
     """Base knot + the two band-meridian curve specs of the doubling
     operator.  The curves' module classes are the two isotypic basis
     vectors of the operator's Alexander module."""
     if name != "nine46":
         raise ConstructionError(f"unknown doubling operator {name!r}")
-    cached = _OPERATOR_CACHE.get(name)
-    if cached is not None:
-        return cached
     from concord.alexmod import module_from_seifert
 
     base = BaseKnot.from_catalog(name)
@@ -284,8 +263,7 @@ def operator_pattern(name: str = "nine46") -> Tuple[BaseKnot, Tuple[CurveSpec, C
     assert len(comps) == 2
     alpha = CurveSpec("alpha", LinkingZeroDepth(), tuple(comps[0].generator.coords))
     beta = CurveSpec("beta", LinkingZeroDepth(), tuple(comps[1].generator.coords))
-    _OPERATOR_CACHE[name] = (base, (alpha, beta))
-    return _OPERATOR_CACHE[name]
+    return base, (alpha, beta)
 
 
 def rdouble_tower(base: Node, levels: int, operator: str = "nine46") -> Node:
@@ -574,7 +552,7 @@ def tower_decomposition(node: Node) -> Tuple[int, Node]:
     """Recognize an n-fold doubling tower (9_46 pattern) and return
     (n, terminal knot).  n = 0 when the node is not such an infection."""
     levels, terminal = doubling_chain(normalize_tree(node))
-    base, curves = operator_pattern()
+    base, curves = operator_pattern("nine46")
     for n, level in enumerate(levels):
         if not (level.parent == base and level.curves == curves
                 and len(level.infectants) == 2):
@@ -596,7 +574,7 @@ def expand_clones(node: Node, i: int) -> Node:
         return normalize_tree(node)
     ribbon_base = normalize_tree(rdouble_tower(BaseKnot.from_catalog("unknot"), i))
     infectant = normalize_tree(rdouble_tower(terminal, n - i))
-    _, pattern_curves = operator_pattern()
+    _, pattern_curves = operator_pattern("nine46")
     curves = []
     for j in range(2**i):
         if i == 1:

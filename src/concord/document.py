@@ -50,7 +50,7 @@ from concord.construction import (
     normalize_tree,
     tower_decomposition,
 )
-from concord.freegroup import parse_word
+from concord.freegroup import derived_depth, parse_word
 from concord.laurent import LaurentPoly
 from concord.rhocalc import Axioms
 from concord.seifert import SeifertMatrix
@@ -434,6 +434,4 @@ def _curve_json(c: CurveSpec) -> dict:
 
 
 def _word_depth_str(cert: WordDepth) -> str:
-    from concord.construction import _cached_depth
-
-    return str(_cached_depth(cert.word))
+    return str(derived_depth(cert.word))

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from concord.laurent import memo
+
 DEPTH_CAP = 5
 
 
@@ -279,27 +281,18 @@ class WreathElement:
         return f"WreathElement(level={self.level}, tail_size={len(self.tail)})"
 
 
-_GEN_CACHE: Dict[Tuple[int, int, int, int], WreathElement] = {}
-
-
+@memo
 def _generator_image(level: int, rank: int, g: int, sign: int) -> WreathElement:
-    key = (level, rank, g, sign)
-    cached = _GEN_CACHE.get(key)
-    if cached is not None:
-        return cached
     if level == 0:
-        img = WreathElement.identity(0, rank)
-    elif sign == 1:
+        return WreathElement.identity(0, rank)
+    if sign == 1:
         below = WreathElement.identity(level - 1, rank)
-        img = WreathElement(
+        return WreathElement(
             level, rank,
             frozenset({((below, g), 1)}),
             _generator_image(level - 1, rank, g, 1),
         )
-    else:
-        img = _generator_image(level, rank, g, 1).inverse()
-    _GEN_CACHE[key] = img
-    return img
+    return _generator_image(level, rank, g, 1).inverse()
 
 
 def evaluate_in_quotient(word: FreeWord, level: int) -> WreathElement:
@@ -328,12 +321,16 @@ class DepthResult:
         return self.value >= n
 
 
+@memo
 def derived_depth(word: FreeWord, n_max: int = DEPTH_CAP) -> DepthResult:
     """The largest n <= n_max with word in F^(n).
 
     Exact except when the word survives to the cap, in which case the
-    result is the certified lower bound n_max (exact=False).
+    result is the certified lower bound n_max (exact=False).  Memoized by
+    the value of (word, n_max).
     """
+    if n_max < 0:
+        raise ValueError(f"depth cap must be >= 0, got {n_max}")
     if n_max > DEPTH_CAP:
         partial = derived_depth(word, DEPTH_CAP)
         if partial.exact:

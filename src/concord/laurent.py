@@ -16,6 +16,7 @@ equality of normal forms.
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from math import gcd as igcd, lcm as ilcm
@@ -27,6 +28,12 @@ Dense = Tuple[int, ...]
 # Exponent spread accepted from JSON: storage is dense, so a far-apart pair
 # of exponents in an input document must not allocate without bound.
 MAX_JSON_SPAN = 1 << 16
+
+# The one memo policy of the program: every cached computation (modules,
+# Blanchfield forms, derived depths, generator images, the doubling
+# operator, rho0 values) is a pure function of hashable values, memoized by
+# this bounded LRU.  Hit and miss counts are in `f.cache_info()`.
+memo = functools.lru_cache(maxsize=256)
 
 
 class DegreeCapExceeded(Exception):
@@ -177,10 +184,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._nums)
 
-    def is_unit(self) -> bool:
-        """True for c*t^k with c != 0."""
-        return len(self._nums) == 1
-
     def coeff(self, e: int) -> Fraction:
         i = e - self._lo
         if 0 <= i < len(self._nums):
@@ -290,14 +293,6 @@ class LaurentPoly:
         return total * x**self._lo / self._den
 
     # -- normal form ---------------------------------------------------------
-
-    def content_primitive(self) -> Tuple[Fraction, "LaurentPoly"]:
-        """Return (c, p) with self = c*p, p integer-primitive with positive
-        leading coefficient and the same support."""
-        if not self._nums:
-            return Fraction(0), _ZERO
-        p = self.normalize().shift(self._lo)
-        return Fraction(self._nums[-1], self._den * p._nums[-1]), p
 
     def normalize(self) -> "LaurentPoly":
         """Canonical associate: lowest exponent 0, integer-primitive,

@@ -36,7 +36,8 @@ from concord.construction import (
     fold,
     normalize_tree,
 )
-from concord.laurent import conjugate_normalized
+from concord.laurent import conjugate_normalized, memo
+from concord.seifert import SeifertMatrix, rho0
 
 
 class MissingAlexClass(Exception):
@@ -110,10 +111,6 @@ class RhoTerm:
     @classmethod
     def of_atom(cls, atom: RhoAtom, coeff=1) -> "RhoTerm":
         return cls.make(0, {atom: Fraction(coeff)})
-
-    @classmethod
-    def const(cls, c) -> "RhoTerm":
-        return cls.make(c, {})
 
     def is_zero(self) -> bool:
         return not self.constant and not self.coeffs
@@ -315,27 +312,21 @@ def collect_knots(node: Node, registry: Dict[str, BaseKnot]) -> Union[RhoTerm, N
     return fold(node, visit)
 
 
-_RHO0_VALUE_CACHE: Dict[Tuple, CertifiedReal] = {}
-
-
 def resolve_rho0_values(
     registry: Dict[str, BaseKnot], tol: Fraction = Fraction(1, 10**9)
 ) -> Dict[RhoAtom, CertifiedReal]:
     """Certified values for every rho0 atom whose knot has a Seifert
     matrix."""
-    from concord.seifert import rho0 as rho0_exact
+    return {
+        RhoAtom.rho0(name): _rho0_value(knot.seifert, tol)
+        for name, knot in registry.items()
+        if knot.seifert is not None
+    }
 
-    out: Dict[RhoAtom, CertifiedReal] = {}
-    for name, knot in registry.items():
-        if knot.seifert is None:
-            continue
-        key = (knot.seifert.entries, tol)
-        val = _RHO0_VALUE_CACHE.get(key)
-        if val is None:
-            val = rho0_exact(knot.seifert, tol)
-            _RHO0_VALUE_CACHE[key] = val
-        out[RhoAtom.rho0(name)] = val
-    return out
+
+@memo
+def _rho0_value(seifert: SeifertMatrix, tol: Fraction) -> CertifiedReal:
+    return rho0(seifert, tol)
 
 
 # -- base-term annotation rules -----------------------------------------------------

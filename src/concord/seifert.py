@@ -287,9 +287,6 @@ class SignatureFunction:
         up = self.upper_values
         return up + up[-2::-1] if len(up) > 1 else up
 
-    def is_identically_zero(self) -> bool:
-        return all(val == 0 for val in self.upper_values)
-
     def theta_enclosures(self, err: Fraction, width: Fraction) -> List[Interval]:
         """Certified enclosures of the jump angles in (0, pi)."""
         out = []

@@ -38,12 +38,6 @@ class TestInterval:
         with pytest.raises(ZeroDivisionError):
             Interval(1, 2) / Interval(-1, 1)
 
-    def test_dyadic_outward(self):
-        iv = Interval(Fraction(1, 3), Fraction(2, 3))
-        out = iv.dyadic_outward(8)
-        assert out.contains_interval(iv)
-        assert out.lo.denominator <= 256 and out.hi.denominator <= 256
-
 
 class TestPi:
     def test_enclosure_against_mpmath(self):

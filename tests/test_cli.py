@@ -251,6 +251,19 @@ class TestCommands:
         assert main(["dseries", "1", "--rank", "2", "--max", "9"]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_dseries_negative_max(self, capsys):
+        assert main(["dseries", "[x1,x2]", "--rank", "2", "--max", "-1"]) == 1
+        assert "input error" in capsys.readouterr().err
+        assert main(["dseries", "[x1,x2]", "--rank", "2", "--max", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "depth >= 0"
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sig_samples_below_one(self, capsys, tmp_path, samples):
+        target = tmp_path / "sig.csv"
+        assert main(["sig", "trefoil", "--csv", str(target), "--samples", samples]) == 1
+        assert "input error" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_dseries_bad_word(self, capsys):
         assert main(["dseries", "x9", "--rank", "2"]) == 1
         assert "input error" in capsys.readouterr().err

@@ -25,7 +25,7 @@ from concord.construction import (
     solvability_upper_bound,
     tower_decomposition,
 )
-from concord.freegroup import parse_word
+from concord.freegroup import derived_depth, parse_word
 from concord.seifert import arf
 from concord.verdict import Hypothesis
 
@@ -267,3 +267,8 @@ class TestSharedSubtrees:
         assert len(out.infectants) == 8
         assert all(i == out.infectants[0] for i in out.infectants)
         assert tower_decomposition(out.infectants[0]) == (61, arf_zero_knot())
+
+
+def test_memos_are_bounded():
+    for fn in (derived_depth, operator_pattern):
+        assert fn.cache_info().maxsize is not None

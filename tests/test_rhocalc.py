@@ -59,7 +59,7 @@ class TestRhoTerm:
     def test_vector_space_laws(self):
         a = RhoTerm.of_atom(RhoAtom.rho0("K1"))
         b = RhoTerm.of_atom(RhoAtom.rho0("K2"), 2)
-        c = RhoTerm.const(Fraction(1, 2))
+        c = RhoTerm.make(Fraction(1, 2))
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert (a - a).is_zero()
@@ -74,7 +74,7 @@ class TestRhoTerm:
         assert str(neg) == "-1/2*rho1(nine46)"
 
     def test_evaluate(self):
-        t = RhoTerm.of_atom(RhoAtom.rho0("K1"), 2) + RhoTerm.const(1)
+        t = RhoTerm.of_atom(RhoAtom.rho0("K1"), 2) + RhoTerm.make(1)
         vals = {RhoAtom.rho0("K1"): CertifiedReal(Fraction(-4, 3), Fraction(1, 10**9))}
         v = t.evaluate(vals)
         assert v.contains(Fraction(-5, 3))
@@ -89,7 +89,7 @@ class TestRhoTerm:
     def test_numeric_evaluation_consistency(self):
         # symbolic-then-evaluate agrees with evaluating the components
         a = RhoTerm.of_atom(RhoAtom.rho0("K1"), 2)
-        b = RhoTerm.of_atom(RhoAtom.rho0("K2"), -3) + RhoTerm.const(Fraction(1, 4))
+        b = RhoTerm.of_atom(RhoAtom.rho0("K2"), -3) + RhoTerm.make(Fraction(1, 4))
         vals = {
             RhoAtom.rho0("K1"): CertifiedReal(Fraction(-4, 3), Fraction(1, 10**6)),
             RhoAtom.rho0("K2"): CertifiedReal(Fraction(7, 5), Fraction(1, 10**7)),
@@ -100,7 +100,7 @@ class TestRhoTerm:
         assert whole.radius == parts.radius
 
     def test_to_json_mirrors_map(self):
-        t = RhoTerm.of_atom(RhoAtom.rho0("K1"), Fraction(-1, 2)) + RhoTerm.const(3)
+        t = RhoTerm.of_atom(RhoAtom.rho0("K1"), Fraction(-1, 2)) + RhoTerm.make(3)
         data = t.to_json()
         assert data == {"constant": [3, 1], "coeffs": [["rho0(K1)", [-1, 2]]]}
 
@@ -271,10 +271,10 @@ class TestAxioms:
         vals = {RhoAtom.rho0("K1"): CertifiedReal(Fraction(-4, 3), Fraction(1, 10**9))}
         ok, route = provably_nonzero(k1, Axioms(), vals)
         assert ok and route == "numeric"
-        ok, route = provably_nonzero(RhoTerm.const(3), Axioms())
+        ok, route = provably_nonzero(RhoTerm.make(3), Axioms())
         assert ok and route == "exact"
         ok, _ = provably_nonzero(RhoTerm.zero(), ax)
         assert not ok
         # constant offset spoils the axiom route
-        ok, _ = provably_nonzero(k1 + RhoTerm.const(1), ax)
+        ok, _ = provably_nonzero(k1 + RhoTerm.make(1), ax)
         assert not ok
