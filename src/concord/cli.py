@@ -90,8 +90,11 @@ def cmd_alex(args, doc: InputDocument) -> int:
 def cmd_sig(args, doc: InputDocument) -> int:
     from concord.certified import pi_interval
 
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples is not None and not args.csv:
+        raise ValueError("--samples sets the CSV grid and needs --csv")
+    samples = 360 if args.samples is None else args.samples
+    if samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {samples}")
     v = _seifert_of(doc, args.knot)
     sf = signature_function(v)
     err = Fraction(1, 10**12)
@@ -110,7 +113,7 @@ def cmd_sig(args, doc: InputDocument) -> int:
     lines.append(f"  arc values (0..pi): {sf.upper_values}")
     lines.append(f"  full circle values: {sf.full_values()}")
     if args.csv:
-        rows = _sig_csv_rows(sf, args.samples)
+        rows = _sig_csv_rows(sf, samples)
         with open(args.csv, "w") as fh:
             fh.write("theta_over_2pi,sigma\n")
             for t, s in rows:
@@ -331,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sig", help="Levine signature function")
     p.add_argument("knot")
     p.add_argument("--csv", help="write sampled values to a CSV file")
-    p.add_argument("--samples", type=int, default=360)
+    p.add_argument("--samples", type=int, help="CSV grid points (default 360; needs --csv)")
     p.set_defaults(fn=cmd_sig)
 
     p = sub.add_parser("rho0", help="certified signature integral")

@@ -248,11 +248,15 @@ def is_knot(node: Node) -> bool:
 # -- the 9_46 operator data ---------------------------------------------------------
 
 
-@memo
 def operator_pattern(name: str = "nine46") -> Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]:
     """Base knot + the two band-meridian curve specs of the doubling
     operator.  The curves' module classes are the two isotypic basis
     vectors of the operator's Alexander module."""
+    return _operator_pattern(name)
+
+
+@memo
+def _operator_pattern(name: str) -> Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]:
     if name != "nine46":
         raise ConstructionError(f"unknown doubling operator {name!r}")
     from concord.alexmod import module_from_seifert
@@ -264,6 +268,9 @@ def operator_pattern(name: str = "nine46") -> Tuple[BaseKnot, Tuple[CurveSpec, C
     alpha = CurveSpec("alpha", LinkingZeroDepth(), tuple(comps[0].generator.coords))
     beta = CurveSpec("beta", LinkingZeroDepth(), tuple(comps[1].generator.coords))
     return base, (alpha, beta)
+
+
+operator_pattern.cache_info = _operator_pattern.cache_info
 
 
 def rdouble_tower(base: Node, levels: int, operator: str = "nine46") -> Node:

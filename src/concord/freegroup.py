@@ -321,7 +321,6 @@ class DepthResult:
         return self.value >= n
 
 
-@memo
 def derived_depth(word: FreeWord, n_max: int = DEPTH_CAP) -> DepthResult:
     """The largest n <= n_max with word in F^(n).
 
@@ -329,10 +328,15 @@ def derived_depth(word: FreeWord, n_max: int = DEPTH_CAP) -> DepthResult:
     result is the certified lower bound n_max (exact=False).  Memoized by
     the value of (word, n_max).
     """
+    return _derived_depth(word, n_max)
+
+
+@memo
+def _derived_depth(word: FreeWord, n_max: int) -> DepthResult:
     if n_max < 0:
         raise ValueError(f"depth cap must be >= 0, got {n_max}")
     if n_max > DEPTH_CAP:
-        partial = derived_depth(word, DEPTH_CAP)
+        partial = _derived_depth(word, DEPTH_CAP)
         if partial.exact:
             return partial
         raise ResourceCapExceeded(
@@ -343,6 +347,9 @@ def derived_depth(word: FreeWord, n_max: int = DEPTH_CAP) -> DepthResult:
         if not evaluate_in_quotient(word, k).is_identity():
             return DepthResult(k - 1, True)
     return DepthResult(n_max, False)
+
+
+derived_depth.cache_info = _derived_depth.cache_info
 
 
 # -- doubling curves ---------------------------------------------------------------

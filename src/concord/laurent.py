@@ -12,14 +12,29 @@ Units of the ring are c*t^k (c a nonzero rational); `normalize` picks the
 canonical associate (lowest exponent 0, integer-primitive coefficients,
 positive leading coefficient), so equality up to units is bit-exact
 equality of normal forms.
+
+`factor` factors a normal form over Z (Zassenhaus; von zur Gathen-Gerhard,
+Modern Computer Algebra, ch. 14-15).  Yun's algorithm splits it into
+squarefree parts.  For each part, odd primes p not dividing the leading
+coefficient and keeping the part squarefree mod p are tried, up to
+PRIME_TRIES of them; distinct-degree factorization counts the factors mod
+each, a single factor proves the part irreducible, and otherwise the prime
+with the fewest factors is kept.  Cantor-Zassenhaus equal-degree splitting
+(with a fixed-seed random source, so runs repeat) gives the factors mod p,
+which are Hensel-lifted to p^(2^j) above twice the Mignotte bound
+lc * 2^n * ||f||_2.  Subsets of the lifted factors, by increasing size, are
+then multiplied out and tried as divisors, and each true factor found is
+divided out at once; what remains at the end is irreducible.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
+import random
 from fractions import Fraction
-from math import gcd as igcd, lcm as ilcm
+from math import gcd as igcd, isqrt, lcm as ilcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Rational = Fraction
@@ -32,8 +47,15 @@ MAX_JSON_SPAN = 1 << 16
 # The one memo policy of the program: every cached computation (modules,
 # Blanchfield forms, derived depths, generator images, the doubling
 # operator, rho0 values) is a pure function of hashable values, memoized by
-# this bounded LRU.  Hit and miss counts are in `f.cache_info()`.
+# this bounded LRU.  Hit and miss counts are in `f.cache_info()`.  The LRU
+# keys a call by its spelling, so a function with a default parameter is a
+# public function that calls a memoized inner one with every argument
+# positional: f(w), f(w, 5) and f(w, n_max=5) then share one entry.
 memo = functools.lru_cache(maxsize=256)
+
+# Good primes tried by `factor` before it settles on the one giving the
+# fewest modular factors.
+PRIME_TRIES = 5
 
 
 class DegreeCapExceeded(Exception):
@@ -103,6 +125,10 @@ def dense_gcd(a: Sequence[int], b: Sequence[int]) -> Dense:
     while b:
         a, b = b, primitive(pseudo_divmod(a, b)[2])
     return a if not a or a[-1] > 0 else tuple(-x for x in a)
+
+
+def dense_derivative(a: Sequence[int]) -> Dense:
+    return tuple(i * c for i, c in enumerate(a))[1:]
 
 
 def _lp(lo: int, nums: Dense, den: int = 1) -> "LaurentPoly":
@@ -510,6 +536,253 @@ def reduce_mod(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     return r
 
 
+# -- factorization over Z[t] -----------------------------------------------------
+#
+# Dense lists of ints, index = degree, trimmed.  The modular helpers (prefix
+# _p) keep residues in [0, m); they serve both the prime p of the modular
+# factorization and the modulus p^(2^j) of the Hensel lift.
+
+
+def _trim(a: List[int]) -> List[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zsub(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    return _trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _zquo(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """a / b for b primitive dividing a: the quotient lies in Z[t]."""
+    return pseudo_divmod(a, b)[1]
+
+
+def _pmul(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    lb = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
+    return _trim([c % m for c in out])
+
+
+def _padd(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
+    return _trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _psub(a: Sequence[int], b: Sequence[int], m: int) -> List[int]:
+    return _trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _pdivmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[List[int], List[int]]:
+    """Division with remainder mod m by b, whose leading coefficient is a
+    unit mod m."""
+    r = _trim([c % m for c in a])
+    lb = len(b)
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(r) - lb + 1)
+    while len(r) >= lb:
+        c = r[-1] * inv % m
+        d = len(r) - lb
+        q[d] = c
+        r[d:] = [(x - c * y) % m for x, y in zip(r[d:], b)]
+        _trim(r)
+    return q, r
+
+
+def _pmonic(a: Sequence[int], m: int) -> List[int]:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """Monic gcd mod the prime p."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmonic(a, p) if a else []
+
+
+def _ppow(a: Sequence[int], e: int, f: Sequence[int], p: int) -> List[int]:
+    """a^e mod (f, p)."""
+    out, a = [1], _pdivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _pdivmod(_pmul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _pdivmod(_pmul(a, a, p), f, p)[1]
+    return out
+
+
+def _squarefree_decomposition(f: Sequence[int]) -> List[Tuple[List[int], int]]:
+    """Yun over Z: (a_i, i) with f = prod a_i^i, the a_i squarefree,
+    pairwise coprime, primitive with positive leading coefficient, for f
+    primitive with positive leading coefficient.  Each division is by a
+    primitive divisor, so it stays in Z[t]; b and c are divided by the same
+    gcd at each step, so d = c - b' keeps its meaning."""
+    df = dense_derivative(f)
+    a = dense_gcd(f, df)
+    b, c = _zquo(f, a), _zquo(df, a)
+    out, i = [], 1
+    while len(b) > 1:
+        d = _zsub(c, dense_derivative(b))
+        a = dense_gcd(b, d)
+        if len(a) > 1:
+            out.append((list(a), i))
+        b, c = _zquo(b, a), _zquo(d, a)
+        i += 1
+    return out
+
+
+def _odd_primes():
+    n = 3
+    while True:
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
+            yield n
+        n += 2
+
+
+def _distinct_degree(f: List[int], p: int) -> List[Tuple[List[int], int]]:
+    """(g, d) pairs, g the product of the degree-d irreducible factors of f
+    (monic and squarefree mod p)."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ppow(h, p, f, p)
+        g = _pgcd(f, _psub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f: List[int], d: int, p: int, rng: random.Random) -> List[List[int]]:
+    """Cantor-Zassenhaus: the monic irreducible factors, each of degree d,
+    of f (monic, squarefree mod the odd prime p)."""
+    if len(f) - 1 == d:
+        return [f]
+    e = (p**d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if len(a) < 2:
+            continue
+        g = _pgcd(f, _psub(_ppow(a, e, f, p), [1], p), p)
+        if 1 < len(g) < len(f):
+            return (_equal_degree(g, d, p, rng)
+                    + _equal_degree(_pdivmod(f, g, p)[0], d, p, rng))
+
+
+def _lift_pair(f: List[int], g: List[int], h: List[int], p: int, M: int):
+    """Quadratic Hensel lifting: for f monic mod M = p^(2^j) and f = g*h
+    mod p, g and h monic and coprime mod p, the monic lifts of g and h
+    mod M, carrying Bezout s*g + t*h = 1 along."""
+    r0, r1, s, s1, t, t1 = g, h, [1], [], [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s, s1 = s1, _psub(s, _pmul(q, s1, p), p)
+        t, t1 = t1, _psub(t, _pmul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    s, t = [c * inv % p for c in s], [c * inv % p for c in t]
+    m = p
+    while m < M:
+        m *= m
+        e = _psub(f, _pmul(g, h, m), m)
+        g, h = (_padd(g, _pdivmod(_pmul(t, e, m), g, m)[1], m),
+                _padd(h, _pdivmod(_pmul(s, e, m), h, m)[1], m))
+        if m < M:
+            b = _psub(_padd(_pmul(s, g, m), _pmul(t, h, m), m), [1], m)
+            c, d = _pdivmod(_pmul(s, b, m), h, m)
+            s = _psub(s, d, m)
+            t = _psub(_psub(t, _pmul(t, b, m), m), _pmul(c, g, m), m)
+    return g, h
+
+
+def _recombine(f: List[int], lifted: List[List[int]], M: int) -> List[List[int]]:
+    """Zassenhaus recombination: subsets of the lifted factors by increasing
+    size; a subset whose product times lc(f), read symmetrically mod M,
+    has a primitive part dividing f gives an irreducible factor, which is
+    divided out of f."""
+    def sym(c: int) -> int:
+        c %= M
+        return c - M if 2 * c > M else c
+
+    out = []
+    k = 1
+    while 2 * k <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), k):
+            lc = f[-1]
+            c0 = lc
+            for i in subset:
+                c0 = c0 * lifted[i][0] % M
+            c0 = sym(c0)
+            if not c0 or lc * f[0] % c0:  # the constant terms rule it out
+                continue
+            g = [lc]
+            for i in subset:
+                g = _pmul(g, lifted[i], M)
+            h = primitive([sym(c) for c in g])
+            _, q, r = pseudo_divmod(f, h)
+            if not r:
+                out.append(list(h))
+                f = q
+                lifted = [x for i, x in enumerate(lifted) if i not in subset]
+                break
+        else:
+            k += 1
+    out.append(f)
+    return out
+
+
+def _factor_squarefree(f: List[int], rng: random.Random) -> List[List[int]]:
+    """The irreducible factors over Z of f, primitive and squarefree with
+    positive leading coefficient and f(0) != 0 (Zassenhaus)."""
+    n, lc = len(f) - 1, f[-1]
+    if n == 1:
+        return [f]
+    best = None
+    tries = 0
+    for p in _odd_primes():
+        if not lc % p:
+            continue
+        fp = _pmonic([c % p for c in f], p)
+        if len(_pgcd(fp, _trim([c % p for c in dense_derivative(fp)]), p)) > 1:
+            continue
+        dd = _distinct_degree(fp, p)
+        count = sum((len(g) - 1) // d for g, d in dd)
+        if count == 1:
+            return [f]
+        if best is None or count < best[0]:
+            best = (count, p, dd)
+        tries += 1
+        if tries == PRIME_TRIES:
+            break
+    _, p, dd = best
+    modular = [g for h, d in dd for g in _equal_degree(h, d, p, rng)]
+    # Mignotte: a factor of f scaled to leading coefficient lc has
+    # coefficients below B = lc * 2^n * ||f||_2 (the bound of von zur
+    # Gathen-Gerhard, Algorithm 15.19).  Past 2B, symmetric residues mod M
+    # are those coefficients.
+    bound = 2 * lc * 2**n * (isqrt(sum(c * c for c in f)) + 1)
+    M = p
+    while M <= bound:
+        M *= M
+    F = _pmonic(f, M)
+    lifted = []
+    for i in range(len(modular) - 1):
+        rest = functools.reduce(lambda a, b: _pmul(a, b, p), modular[i + 1:])
+        g, F = _lift_pair(F, modular[i], rest, p, M)
+        lifted.append(g)
+    lifted.append(F)
+    return _recombine(f, lifted, M)
+
+
 def factor(f: LaurentPoly, degree_cap: int = 24) -> List[Tuple[LaurentPoly, int]]:
     """Complete factorization over Q into normalized irreducibles.
 
@@ -523,18 +796,10 @@ def factor(f: LaurentPoly, degree_cap: int = 24) -> List[Tuple[LaurentPoly, int]
         raise DegreeCapExceeded(
             f"degree {g.degree()} exceeds the factorization cap {degree_cap}"
         )
-    if g.degree() == 0:
-        return []
-    import sympy
-
-    tsym = sympy.Symbol("t")
-    _, sfactors = sympy.Poly(list(g._nums[::-1]), tsym, domain="QQ").factor_list()
-    out = []
-    for fac, mult in sfactors:
-        p = LaurentPoly.from_coeffs([Fraction(c) for c in reversed(fac.all_coeffs())]).normalize()
-        if p.degree() == 0:
-            continue
-        out.append((p, int(mult)))
+    rng = random.Random(0)
+    out = [(_lp(0, tuple(h)), mult)
+           for a, mult in _squarefree_decomposition(g._nums)
+           for h in _factor_squarefree(a, rng)]
     out.sort(key=lambda pm: (pm[0].degree(), pm[0].to_json()))
     return out
 

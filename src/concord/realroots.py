@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from concord.laurent import dense_gcd, primitive, pseudo_divmod
+from concord.laurent import dense_derivative, dense_gcd, primitive, pseudo_divmod
 
 Poly = Tuple[int, ...]
 
@@ -36,16 +36,12 @@ def evaluate(p: Sequence, x) -> Fraction:
     return Fraction(_scaled_value(p, x), x.denominator ** max(len(p) - 1, 0))
 
 
-def derivative(p: Sequence) -> Poly:
-    return tuple(c * i for i, c in enumerate(p))[1:]
-
-
 def squarefree(p: Sequence) -> Poly:
     """The primitive squarefree part: the same real roots, each simple."""
     p = primitive(p)
     if len(p) <= 1:
         return p
-    g = dense_gcd(p, derivative(p))
+    g = dense_gcd(p, dense_derivative(p))
     if len(g) == 1:
         return p
     _, q, r = pseudo_divmod(p, g)
@@ -55,7 +51,7 @@ def squarefree(p: Sequence) -> Poly:
 
 def sturm_chain(p: Sequence) -> List[Poly]:
     """Sturm chain of a squarefree polynomial, each member primitive."""
-    chain = [primitive(p), primitive(derivative(p))]
+    chain = [primitive(p), primitive(dense_derivative(p))]
     while chain[-1]:
         r = pseudo_divmod(chain[-2], chain[-1])[2]
         if not r:

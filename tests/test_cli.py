@@ -243,6 +243,17 @@ class TestCommands:
         assert body["0.000000000"] == "0"
         assert "0.166666667" not in body
 
+    def test_sig_samples_needs_csv(self, capsys):
+        assert main(["sig", "trefoil", "--samples", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "--csv" in err
+
+    def test_sig_csv_default_samples(self, capsys, tmp_path):
+        target = tmp_path / "sig.csv"
+        assert main(["sig", "trefoil", "--csv", str(target)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"wrote 358 samples to {target}")
+        assert len(target.read_text().strip().splitlines()) == 1 + 358
+
     def test_dseries(self, capsys):
         assert main(["dseries", "[[x1,x2],[x3,x4]]", "--rank", "4"]) == 0
         assert capsys.readouterr().out.strip() == "depth = 2"
@@ -338,10 +349,29 @@ class TestCommands:
         assert main(["--doc", str(p), "verdict", "bad"]) == 2
 
 
-def test_import_loads_no_heavy_modules():
-    """`import concord` pulls in neither sympy nor numpy: every command and
-    every caller pays the package import, only factoring needs sympy, and
-    only the Riemann-sum oracle needs numpy."""
+README_DOC = {
+    "knots": {
+        "K": {"seifert": [[0, 2], [1, 0]], "flags": {}},
+        "K1": {"opaque": True, "flags": {"arf_zero": True}},
+    },
+    "axioms": [["rho0(K1)"]],
+    "builds": {
+        "J2": {"op": "rdouble", "parent": {"op": "rdouble", "parent": "K"}},
+        "tower": {"op": "infect",
+                  "parent": {"op": "trivial_link", "components": 2},
+                  "curves": [{"label": "alpha", "word": "[x1,x2]"}],
+                  "infectants": ["J2"]},
+        "BD2": {"op": "bing", "parent": "J2", "iterations": 2},
+    },
+    "options": {"tol": "1e-9"},
+}
+
+
+def test_import_loads_no_heavy_modules(tmp_path):
+    """`import concord` pulls in neither sympy nor numpy, and neither do the
+    commands that factor (`alex`, `submodules`, and `verdict`, whose
+    rdouble levels decompose the 9_46 module): sympy is the test oracle of
+    factorization, numpy that of the Riemann sum."""
     import os
     import subprocess
     import sys
@@ -349,8 +379,31 @@ def test_import_loads_no_heavy_modules():
     import concord
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(concord.__file__)))
-    code = "import sys, concord; print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))"
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(README_DOC))
+    heavy = "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))"
+    code = (f"import sys, concord; {heavy}\n"
+            "from concord.cli import main\n"
+            "codes = [main(['alex', 'nine46']), main(['submodules', 'nine46']),\n"
+            f"         main(['--doc', {str(doc)!r}, 'verdict', 'tower'])]\n"
+            f"print(codes); {heavy}")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == ["[0, 0, 0]", "[]"]
+
+
+def test_src_does_not_import_sympy():
+    import os
+    import re
+
+    import concord
+
+    root = os.path.dirname(os.path.abspath(concord.__file__))
+    pattern = re.compile(r"^\s*(import|from)\s+sympy\b", re.M)
+    for name in os.listdir(root):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                assert not pattern.search(fh.read()), name

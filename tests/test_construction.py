@@ -272,3 +272,16 @@ class TestSharedSubtrees:
 def test_memos_are_bounded():
     for fn in (derived_depth, operator_pattern):
         assert fn.cache_info().maxsize is not None
+
+
+def test_memo_keys_by_value_not_spelling():
+    """Equal calls spelled differently share one LRU entry."""
+    word = parse_word("[[x2,x4],[x3,x1]]", 4)  # a word no other test uses
+    before = derived_depth.cache_info()
+    results = [derived_depth(word), derived_depth(word, 5), derived_depth(word, n_max=5)]
+    after = derived_depth.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+    assert results[0] is results[1] is results[2]
+    first = operator_pattern()
+    assert operator_pattern("nine46") is first
+    assert operator_pattern(name="nine46") is first

@@ -216,6 +216,86 @@ class TestFactor:
             assert sum(m * p.degree() for p, m in fs) == f.normalize().degree()
 
 
+    # -- against sympy's factor_list, the oracle --------------------------
+
+    @staticmethod
+    def oracle(f):
+        """sympy's factorization over QQ as normalized (factor, multiplicity)
+        pairs, sorted like `factor`'s."""
+        import sympy
+
+        t = sympy.Symbol("t")
+        g = f.normalize()
+        _, pairs = sympy.Poly(list(g._nums[::-1]), t, domain="ZZ").factor_list()
+        out = [(LaurentPoly.from_coeffs([int(c) for c in reversed(p.all_coeffs())]).normalize(), m)
+               for p, m in pairs if p.degree() > 0]
+        return sorted(out, key=lambda pm: (pm[0].degree(), pm[0].to_json()))
+
+    def test_random_products_against_sympy(self):
+        import sympy
+
+        t = sympy.Symbol("t")
+        rng = random.Random(20261018)
+        for _ in range(120):
+            f = LaurentPoly({rng.randrange(-3, 4): Fraction(rng.choice([-6, -1, 1, 4]),
+                                                            rng.choice([1, 3]))})
+            degree = 0
+            for _ in range(rng.randrange(1, 6)):
+                n = rng.randrange(1, 7)
+                coeffs = [rng.randrange(-7, 8) for _ in range(n)] + [rng.choice([-2, -1, 1, 3])]
+                if not coeffs[0] or not sympy.Poly(coeffs[::-1], t).is_irreducible:
+                    continue
+                m = rng.choice([1, 1, 1, 2, 3])
+                if degree + m * n > 24:
+                    break
+                degree += m * n
+                f = f * LaurentPoly.from_coeffs(coeffs) ** m
+            assert factor(f) == self.oracle(f)
+
+    def test_alexander_polynomials_against_sympy(self):
+        from concord import catalog
+        from concord.seifert import alexander_poly
+        from test_seifert import random_seifert
+
+        rng = random.Random(4141)
+        knots = [catalog.get(name)[0] for name in catalog.BUILTIN]
+        knots += [random_seifert(rng, rng.choice([1, 2, 3])) for _ in range(60)]
+        for v in knots:
+            delta = alexander_poly(v)
+            assert factor(delta) == self.oracle(delta)
+
+    def test_cyclotomic_products_against_sympy(self):
+        t = LaurentPoly.t()
+        one = LaurentPoly.one()
+        cases = [t**n - one for n in range(1, 25)] + [t**n + one for n in range(1, 25)]
+        cases += [(t**6 - one) * (t**4 - one) ** 2 * (t**2 + one), (t**12 - one) * (t**12 + one)]
+        for f in cases:
+            assert factor(f) == self.oracle(f)
+        f = t**25 + one
+        assert factor(f, degree_cap=25) == self.oracle(f)
+
+    def test_swinnerton_dyer_16(self):
+        """The minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7 is
+        irreducible over Z but splits into factors of degree <= 2 modulo
+        every prime: the worst case for recombination."""
+        import time
+
+        from concord.laurent import _distinct_degree, _pmonic
+
+        coeffs = [46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0,
+                  -141912, 0, 6476, 0, -136, 0, 1]
+        sd = LaurentPoly.from_coeffs(coeffs)
+        for p in (11, 13, 29, 101):  # primes keeping it squarefree
+            fp = _pmonic([c % p for c in coeffs], p)
+            assert sum((len(g) - 1) // d for g, d in _distinct_degree(fp, p)) >= 8
+        start = time.perf_counter()
+        fs = factor(sd)
+        assert time.perf_counter() - start < 0.5
+        assert fs == [(sd, 1)] == self.oracle(sd)
+        f = sd * LaurentPoly.from_coeffs([-2, 0, 1]) ** 2
+        assert factor(f) == self.oracle(f)
+
+
 class TestRationalFunctionModPoly:
     def test_canonical_reduction(self):
         d = lp({1: 1, 0: -2})
