@@ -68,7 +68,6 @@ from concord.construction import (
     TrivialLink,
     WordDepth,
     expand_clones,
-    normalize_tree,
     operator_pattern,
     rdouble_tower,
     solvability_upper_bound,
@@ -90,6 +89,7 @@ from concord.verdict import (
     bing_obstruction,
     doubling_operator_verdict,
     infection_obstruction,
+    verdict_for,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ from concord.alexmod import (
 from concord.construction import (
     ConstructionError,
     expand_clones,
-    normalize_tree,
     solvability_upper_bound,
 )
 from concord.document import (
@@ -39,12 +38,7 @@ from concord.freegroup import ResourceCapExceeded, derived_depth, parse_word
 from concord.laurent import DegreeCapExceeded, factor
 from concord.rhocalc import MissingAlexClass, first_order_signatures
 from concord.seifert import alexander_poly, arf, rho0, signature_function
-from concord.verdict import (
-    INCONCLUSIVE,
-    bing_obstruction,
-    doubling_operator_verdict,
-    infection_obstruction,
-)
+from concord.verdict import INCONCLUSIVE, verdict_for
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -277,25 +271,7 @@ def cmd_solvable(args, doc: InputDocument) -> int:
 
 
 def cmd_verdict(args, doc: InputDocument) -> int:
-    from concord.construction import (
-        Infect, Multiple, SliceLinkAssumed, TrivialLink, tower_decomposition,
-    )
-
-    node = doc.resolve(args.build)
-    canon = normalize_tree(node)
-    probe = canon.parent if isinstance(canon, Multiple) else canon
-    if isinstance(probe, Infect) and isinstance(
-        probe.parent, (TrivialLink, SliceLinkAssumed)
-    ) and len(probe.curves) == 1:
-        infectant = probe.infectants[0]
-        n_levels, _ = tower_decomposition(infectant)
-        if n_levels > 0 or isinstance(canon, Multiple):
-            v = doubling_operator_verdict(canon, doc.axioms,
-                                          sharp_constant=args.sharp_constant)
-        else:
-            v = infection_obstruction(canon, doc.axioms)
-    else:
-        v = bing_obstruction(canon, doc.axioms)
+    v = verdict_for(doc.resolve(args.build), doc.axioms, sharp_constant=args.sharp_constant)
     _emit(args, {"build": args.build, **v.to_json()}, v.transcript())
     if v.failed_hypotheses() or v.conclusion == INCONCLUSIVE and not v.all_certified():
         return EXIT_HYPOTHESIS
@@ -367,7 +343,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verdict", help="slice/solvability obstruction verdict")
     p.add_argument("build")
     p.add_argument("--sharp-constant", action="store_true",
-                   help="cite the depth-independent bound constant")
+                   help="cite the depth-independent bound constant "
+                        "(doubling rule only)")
     p.set_defaults(fn=cmd_verdict)
 
     p = sub.add_parser("expand", help="clone expansion of a doubling tower")

@@ -7,6 +7,14 @@ engine consumes: free-group or assumed depth certificates for infection
 curves, their Alexander-module classes, and base-knot annotations.  No
 diagram geometry is modeled.
 
+Every node is canonical as soon as it is built.  `RDouble` and
+`BingDouble` return the infections they stand for, a multiple of a knot
+is the connected sum of its copies, sums are flat and ordered, and a node
+that breaks a rule (a link where a knot belongs, a word of the wrong
+rank) raises `ConstructionError` when it is built.  Structural equality
+of nodes is therefore tree equivalence, and no pass rewrites a tree
+before walking it.
+
 Solvability bookkeeping: infecting a link along curves of derived depth
 p_i with (q_i)-solvable knots keeps the result inside filtration level
 min(parent level, min_i(p_i + q_i)); slice bases sit at every level.
@@ -84,7 +92,7 @@ class CloneDepth:
         return self.depth, "certified"
 
     def exact_depth(self) -> Optional[Tuple[int, str]]:
-        return self.depth, "structural"
+        return self.depth, "certified"
 
 
 Certificate = Union[WordDepth, AssumedDepth, LinkingZeroDepth, CloneDepth]
@@ -145,6 +153,10 @@ class SliceLinkAssumed:
 
 @dataclass(frozen=True)
 class Infect:
+    """`parent` infected along each curve by the infectant in the same
+    position; every infectant is a knot, and a curve given as a word lives
+    in the group of the trivial link it infects."""
+
     parent: "Node"
     curves: Tuple[CurveSpec, ...]
     infectants: Tuple["Node", ...]
@@ -156,48 +168,87 @@ class Infect:
             )
         if not self.curves:
             raise ConstructionError("infection needs at least one curve")
+        if not all(is_knot(i) for i in self.infectants):
+            raise ConstructionError("infectants must be knots")
+        if isinstance(self.parent, TrivialLink):
+            for c in self.curves:
+                cert = c.certificate
+                if isinstance(cert, WordDepth) and cert.word.rank != self.parent.components:
+                    raise ConstructionError(
+                        f"curve {c.label!r}: word lives in rank {cert.word.rank} but "
+                        f"the ambient trivial link has {self.parent.components} components"
+                    )
 
 
-@dataclass(frozen=True)
-class BingDouble:
-    parent: "Node"
-    iterations: int = 1
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ConstructionError("doubling iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class RDouble:
-    """Sugar: infection of the standard two-band ribbon pattern (the 9_46
-    knot) along its band meridians, using the same infectant at both."""
-
-    parent: "Node"
-    operator: str = "nine46"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConnectedSum:
+    """The connected sum of knots.  Nested sums are flattened and the parts
+    put in `_key` order, so equal sums are equal nodes; a sum of one part
+    is that part."""
+
     parts: Tuple["Node", ...]
 
-    def __post_init__(self):
-        if not self.parts:
+    def __new__(cls, parts) -> "Node":
+        flat: List[Node] = []
+        for p in parts:
+            flat.extend(p.parts if isinstance(p, ConnectedSum) else (p,))
+        if not flat:
             raise ConstructionError("empty connected sum")
+        if not all(is_knot(p) for p in flat):
+            raise ConstructionError("connected sum parts must be knots")
+        if len(flat) == 1:
+            return flat[0]
+        # one fold keys every part, so a part repeated (as in a multiple)
+        # shares its key and comparing the copies does not walk them
+        node = super().__new__(cls)
+        object.__setattr__(node, "parts", tuple(sorted(flat, key=folder(_key))))
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Multiple:
+    """`count` copies of a link.  Copies of a knot are their connected sum,
+    and one copy is the parent itself."""
+
     parent: "Node"
     count: int
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __new__(cls, parent: "Node", count: int) -> "Node":
+        if count < 1:
             raise ConstructionError("multiple count must be >= 1")
+        if count == 1:
+            return parent
+        if is_knot(parent):
+            return ConnectedSum((parent,) * count)
+        node = super().__new__(cls)
+        object.__setattr__(node, "parent", parent)
+        object.__setattr__(node, "count", count)
+        return node
 
 
-Node = Union[BaseKnot, TrivialLink, SliceLinkAssumed, Infect, BingDouble, RDouble,
-             ConnectedSum, Multiple]
+def BingDouble(parent: "Node", iterations: int = 1) -> Infect:
+    """The `iterations`-fold Bing double of a knot: the trivial link of
+    2^iterations components infected by the knot along the doubling curve."""
+    if iterations < 1:
+        raise ConstructionError("doubling iterations must be >= 1")
+    if not is_knot(parent):
+        raise ConstructionError("iterated doubling of a knot only")
+    word, rank = bing_curve(iterations)
+    curve = CurveSpec(f"doubling_curve_{iterations}", WordDepth(word))
+    return Infect(TrivialLink(rank), (curve,), (parent,))
+
+
+def RDouble(parent: "Node", operator: str = "nine46") -> Infect:
+    """The generalized double of a knot: the standard two-band ribbon
+    pattern (the 9_46 knot) infected along its band meridians, by the same
+    knot at both."""
+    base, curves = operator_pattern(operator)
+    if not is_knot(parent):
+        raise ConstructionError("doubling operators apply to knots")
+    return Infect(base, curves, (parent, parent))
+
+
+Node = Union[BaseKnot, TrivialLink, SliceLinkAssumed, Infect, ConnectedSum, Multiple]
 T = TypeVar("T")
 
 
@@ -206,8 +257,16 @@ def fold(node: Node, visit: Callable[[Node, Callable[[Node], T]], T]) -> T:
 
     `visit(n, sub)` computes n's value, calling `sub(child)` for the value
     of a child; it runs once per distinct node object that is reached, so a
-    shared subtree is walked once.  The memo lasts for this one call and
-    holds each node it keys, so no id is reused while it is in use."""
+    shared subtree is walked once.  Nodes are canonical when built, so no
+    pass rewrites a tree before folding it."""
+    return folder(visit)(node)
+
+
+def folder(visit: Callable[[Node, Callable[[Node], T]], T]) -> Callable[[Node], T]:
+    """The memoized `sub` that `fold` calls at its root: calling it on
+    several roots folds them with one memo.  The memo lasts as long as the
+    function and holds each node it keys, so no id is reused while it is
+    in use."""
     seen: Dict[int, Tuple[Node, T]] = {}
 
     def sub(n: Node) -> T:
@@ -216,7 +275,7 @@ def fold(node: Node, visit: Callable[[Node, Callable[[Node], T]], T]) -> T:
             hit = seen[id(n)] = (n, visit(n, sub))
         return hit[1]
 
-    return sub(node)
+    return sub
 
 
 def component_count(node: Node) -> int:
@@ -224,20 +283,12 @@ def component_count(node: Node) -> int:
 
 
 def _components(node: Node, sub) -> int:
-    if isinstance(node, (BaseKnot, RDouble)):
+    if isinstance(node, (BaseKnot, ConnectedSum)):
         return 1
     if isinstance(node, (TrivialLink, SliceLinkAssumed)):
         return node.components
     if isinstance(node, (Infect, Multiple)):
         return sub(node.parent)
-    if isinstance(node, BingDouble):
-        if sub(node.parent) != 1:
-            raise ConstructionError("doubling is defined on knots here")
-        return 2**node.iterations
-    if isinstance(node, ConnectedSum):
-        if any(sub(p) != 1 for p in node.parts):
-            raise ConstructionError("connected sum parts must be knots")
-        return 1
     raise TypeError(f"not a construction node: {node!r}")
 
 
@@ -280,11 +331,7 @@ def rdouble_tower(base: Node, levels: int, operator: str = "nine46") -> Node:
     return out
 
 
-# -- canonical form ---------------------------------------------------------------
-
-
-def _node_key(node: Node) -> tuple:
-    return fold(node, _key)
+# -- canonical order --------------------------------------------------------------
 
 
 def _key(node: Node, sub) -> tuple:
@@ -303,7 +350,7 @@ def _key(node: Node, sub) -> tuple:
         return ("sum", tuple(sub(p) for p in node.parts))
     if isinstance(node, Multiple):
         return ("multiple", node.count, sub(node.parent))
-    raise TypeError(f"non-canonical node in key: {node!r}")
+    raise TypeError(f"not a construction node: {node!r}")
 
 
 def _curve_key(c: CurveSpec) -> tuple:
@@ -328,77 +375,6 @@ def _to_hashable(x):
     if isinstance(x, tuple):
         return tuple(_to_hashable(v) for v in x)
     return x
-
-
-def normalize_tree(node: Node) -> Node:
-    """Canonical form: doubling sugar expanded to infections, multiples of
-    knots expanded to connected sums, sums flattened and deterministically
-    ordered.  Structural equality of canonical forms is tree equivalence.
-    A subtree shared in the input is shared in the output."""
-    return fold(node, _normalize)
-
-
-def _normalize(node: Node, sub) -> Node:
-    if isinstance(node, (BaseKnot, TrivialLink, SliceLinkAssumed)):
-        return node
-    if isinstance(node, RDouble):
-        base, curves = operator_pattern(node.operator)
-        inner = sub(node.parent)
-        if not is_knot(inner):
-            raise ConstructionError("doubling operators apply to knots")
-        return Infect(base, curves, (inner, inner))
-    if isinstance(node, BingDouble):
-        inner = sub(node.parent)
-        if not is_knot(inner):
-            raise ConstructionError("iterated doubling of a knot only")
-        word, rank = bing_curve(node.iterations)
-        curve = CurveSpec(f"doubling_curve_{node.iterations}", WordDepth(word))
-        return Infect(TrivialLink(rank), (curve,), (inner,))
-    if isinstance(node, Infect):
-        parent = sub(node.parent)
-        infectants = tuple(sub(i) for i in node.infectants)
-        for i in infectants:
-            if not is_knot(i):
-                raise ConstructionError("infectants must be knots")
-        for c in node.curves:
-            if isinstance(c.certificate, WordDepth) and isinstance(parent, TrivialLink):
-                if c.certificate.word.rank != parent.components:
-                    raise ConstructionError(
-                        f"curve {c.label!r}: word lives in rank "
-                        f"{c.certificate.word.rank} but the ambient trivial link "
-                        f"has {parent.components} components"
-                    )
-        return Infect(parent, node.curves, infectants)
-    if isinstance(node, ConnectedSum):
-        return _sum_of([sub(p) for p in node.parts])
-    if isinstance(node, Multiple):
-        parent = sub(node.parent)
-        if node.count == 1:
-            return parent
-        if is_knot(parent):
-            return _sum_of([parent] * node.count)
-        return Multiple(parent, node.count)
-    raise TypeError(f"not a construction node: {node!r}")
-
-
-def _sum_of(parts: List[Node]) -> Node:
-    """The canonical connected sum of normalized parts."""
-    flat: List[Node] = []
-    for q in parts:
-        if isinstance(q, ConnectedSum):
-            flat.extend(q.parts)
-        else:
-            flat.append(q)
-    for p in flat:
-        if not is_knot(p):
-            raise ConstructionError("connected sum parts must be knots")
-    if len(flat) == 1:
-        return flat[0]
-    # one fold keys every part, so a part repeated (as in a multiple)
-    # shares its key and comparing the copies does not walk them
-    _, keys = _node_key(ConnectedSum(tuple(flat)))
-    order = sorted(range(len(flat)), key=keys.__getitem__)
-    return ConnectedSum(tuple(flat[i] for i in order))
 
 
 # -- solvability -------------------------------------------------------------------
@@ -445,7 +421,7 @@ class SolvDegree:
 def solvability_upper_bound(node: Node) -> SolvDegree:
     """Best filtration level provable from the composition rule, Arf
     gates, and slice annotations."""
-    return fold(normalize_tree(node), _solvable)
+    return fold(node, _solvable)
 
 
 def _solvable(node: Node, sub) -> SolvDegree:
@@ -538,7 +514,7 @@ def _combine_min(parts) -> SolvDegree:
 
 
 def doubling_chain(node: Node) -> Tuple[List[Infect], Node]:
-    """(levels, terminal) of a normalized node: the levels are the chain of
+    """(levels, terminal) of a node: the levels are the chain of
     generalized doublings at its top, each an infection of a base knot
     along curves with module classes, by one knot at every curve; the
     terminal is the node under the last level (the node itself when there
@@ -558,7 +534,7 @@ def doubling_chain(node: Node) -> Tuple[List[Infect], Node]:
 def tower_decomposition(node: Node) -> Tuple[int, Node]:
     """Recognize an n-fold doubling tower (9_46 pattern) and return
     (n, terminal knot).  n = 0 when the node is not such an infection."""
-    levels, terminal = doubling_chain(normalize_tree(node))
+    levels, terminal = doubling_chain(node)
     base, curves = operator_pattern("nine46")
     for n, level in enumerate(levels):
         if not (level.parent == base and level.curves == curves
@@ -578,9 +554,9 @@ def expand_clones(node: Node, i: int) -> Node:
     if not 0 <= i <= n:
         raise ConstructionError(f"expansion level {i} outside 0..{n}")
     if i == 0:
-        return normalize_tree(node)
-    ribbon_base = normalize_tree(rdouble_tower(BaseKnot.from_catalog("unknot"), i))
-    infectant = normalize_tree(rdouble_tower(terminal, n - i))
+        return node
+    ribbon_base = rdouble_tower(BaseKnot.from_catalog("unknot"), i)
+    infectant = rdouble_tower(terminal, n - i)
     _, pattern_curves = operator_pattern("nine46")
     curves = []
     for j in range(2**i):

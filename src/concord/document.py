@@ -47,7 +47,6 @@ from concord.construction import (
     WordDepth,
     component_count,
     fold,
-    normalize_tree,
     tower_decomposition,
 )
 from concord.freegroup import derived_depth, parse_word
@@ -338,7 +337,7 @@ def _clone_depth(parent: Node, curves: list) -> Optional[int]:
     if not any(isinstance(c, dict) and c.get("certificate") == "CloneDepth" for c in curves):
         return None
     depth, terminal = tower_decomposition(parent)
-    unknot = normalize_tree(BaseKnot.from_catalog("unknot"))
+    unknot = BaseKnot.from_catalog("unknot")
     if depth >= 1 and terminal == unknot and len(curves) == 2**depth:
         return depth
     return None
@@ -388,7 +387,7 @@ def node_to_json(node: Node) -> dict:
     """The canonical JSON tree.  A subtree shared in the DAG is one dict
     shared by its parents, so this is linear in the DAG's size; the text
     `json.dumps` writes from it is a tree and doubles per doubling level."""
-    return fold(normalize_tree(node), _node_json)
+    return fold(node, _node_json)
 
 
 def _node_json(node: Node, sub) -> dict:

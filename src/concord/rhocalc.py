@@ -34,7 +34,6 @@ from concord.construction import (
     Multiple,
     Node,
     fold,
-    normalize_tree,
 )
 from concord.laurent import conjugate_normalized, memo
 from concord.seifert import SeifertMatrix, rho0
@@ -277,14 +276,14 @@ def rho0_atom_term(node: Node, registry: Optional[Dict[str, BaseKnot]] = None) -
     the term descends to the base pattern; connected sums add.  Slice
     bases contribute exactly zero.  Every base knot of the tree is entered
     in `registry` (see `collect_knots`)."""
-    term = collect_knots(normalize_tree(node), {} if registry is None else registry)
+    term = collect_knots(node, {} if registry is None else registry)
     if not isinstance(term, RhoTerm):
         raise ConstructionError(f"rho0 needs a knot-valued tree, got {type(term).__name__}")
     return term
 
 
 def collect_knots(node: Node, registry: Dict[str, BaseKnot]) -> Union[RhoTerm, Node]:
-    """Enter every base knot of a normalized tree in `registry` (one name
+    """Enter every base knot of a tree in `registry` (one name
     for two different knots is an error), in the same pass that works out
     the tree's rho0 term: the value returned, or the node that has none
     (a link) when the tree is not knot-valued."""
@@ -419,7 +418,6 @@ def first_order_signatures(node: Node) -> FirstOrderSignatures:
     Curves must carry alex_class except at certified depth >= 2, where the
     contribution factors away below the metabelian level and is dropped
     (with a note)."""
-    node = normalize_tree(node)
     if isinstance(node, BaseKnot):
         base, curves, infectants = node, (), ()
     elif isinstance(node, Infect) and isinstance(node.parent, BaseKnot):

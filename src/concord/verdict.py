@@ -43,8 +43,8 @@ from concord.construction import (
     SolvDegree,
     TrivialLink,
     doubling_chain,
-    normalize_tree,
     solvability_upper_bound,
+    tower_decomposition,
 )
 from concord.rhocalc import (
     Axioms,
@@ -250,11 +250,47 @@ def _certificate_hypothesis(curve: CurveSpec, need_exact: bool) -> Hypothesis:
             "failed",
             f"depth {depth}",
         )
-    st = "certified" if how in ("certified", "structural") else "assumed"
+    st = "certified" if how == "certified" else "assumed"
     return Hypothesis(
         f"curve {curve.label!r} at exact derived depth {depth}",
         st,
         f"certificate: {type(cert).__name__}",
+    )
+
+
+# -- dispatch ---------------------------------------------------------------------------
+
+
+def verdict_for(node: Node, axioms: Axioms = Axioms(),
+                sharp_constant: bool = False) -> Verdict:
+    """The verdict of the rule whose shape `node` has: a doubling tower (or
+    a multiple) fed into a single-curve infection of a trivial or
+    assumed-slice link takes the doubling rule, any other such infection
+    the infection rule, and everything else the Bing rule.  The sharp
+    constant belongs to the doubling rule alone; asking for it elsewhere
+    is an error, not a flag that goes unread."""
+    probe = node.parent if isinstance(node, Multiple) else node
+    if _ambient_infection(probe) and (
+        isinstance(node, Multiple) or tower_decomposition(probe.infectants[0])[0] > 0
+    ):
+        return doubling_operator_verdict(node, axioms, sharp_constant=sharp_constant)
+    if sharp_constant:
+        raise ValueError(
+            f"the sharp constant applies only to rule {RULE_DOUBLING}, whose shape "
+            "is a doubling tower fed into a single-curve infection"
+        )
+    if _ambient_infection(node):
+        return infection_obstruction(node, axioms)
+    return bing_obstruction(node, axioms)
+
+
+def _ambient_infection(node: Node) -> bool:
+    """Whether `node` is a single-curve infection of a trivial or
+    assumed-slice link: the shape both infection rules start from."""
+    return (
+        isinstance(node, Infect)
+        and isinstance(node.parent, (TrivialLink, SliceLinkAssumed))
+        and len(node.curves) == 1
     )
 
 
@@ -310,14 +346,9 @@ def bing_obstruction(
 # -- verdict: single infection of a trivial/slice link ----------------------------------
 
 
-def infection_obstruction(tree: Node, axioms: Axioms = Axioms(),
+def infection_obstruction(node: Node, axioms: Axioms = Axioms(),
                           use_numeric: bool = True) -> Verdict:
-    node = normalize_tree(tree)
-    if not (
-        isinstance(node, Infect)
-        and isinstance(node.parent, (TrivialLink, SliceLinkAssumed))
-        and len(node.curves) == 1
-    ):
+    if not _ambient_infection(node):
         raise ConstructionError(
             "infection obstruction expects a single-curve infection of a "
             "trivial or assumed-slice link"
@@ -404,16 +435,12 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
     iterated generalized doubling applied to a knot, fed into a depth-k
     infection of a trivial (or assumed-slice) link.  Multiples of the
     result inherit the same verdict."""
-    node = normalize_tree(tree)
+    node = tree
     multiple = 1
     if isinstance(node, Multiple):
         multiple = node.count
         node = node.parent
-    if not (
-        isinstance(node, Infect)
-        and isinstance(node.parent, (TrivialLink, SliceLinkAssumed))
-        and len(node.curves) == 1
-    ):
+    if not _ambient_infection(node):
         raise ConstructionError(
             "doubling verdict expects (a multiple of) a single-curve infection "
             "of a trivial or assumed-slice link by a doubling tower"

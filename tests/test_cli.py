@@ -5,7 +5,7 @@ import pytest
 from concord.cli import main
 from concord.document import DocumentError, InputDocument, load_document, node_to_json
 from concord.construction import (
-    Infect, TrivialLink, expand_clones, normalize_tree, rdouble_tower,
+    Infect, TrivialLink, expand_clones, rdouble_tower,
 )
 
 
@@ -56,7 +56,7 @@ class TestDocument:
         assert doc.knot("K1").seifert is not None
         assert doc.knot("trefoil") is not None  # builtin fallback
         tree = doc.resolve("tower")
-        assert isinstance(normalize_tree(tree), Infect)
+        assert isinstance(tree, Infect)
 
     def test_schema_errors(self):
         with pytest.raises(DocumentError):
@@ -90,7 +90,7 @@ class TestDocument:
         if argv[0] == "expand":
             original = expand_clones(original, 2)
         reloaded = InputDocument({**DOC, "builds": {"re": tree}}).resolve("re")
-        assert normalize_tree(reloaded) == normalize_tree(original)
+        assert reloaded == original
 
     def test_serialized_fields_must_agree(self, docfile, capsys):
         assert main(["--doc", docfile, "canon", "tower"]) == 0
@@ -332,6 +332,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2*rho0(K1)" in out and "rho0(K1)" in out
 
+    def test_sharp_constant_where_the_doubling_rule_applies(self, docfile, capsys):
+        assert main(["--doc", docfile, "verdict", "tower", "--sharp-constant"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == [
+            "conclusion: NOT_SLICE_CONDITIONAL",
+            "rule: iterated-doubling-infinite-order",
+            "solvable upper bound: 3",
+            "condition: |rho0(K)| > C(M(nine46))",
+        ]
+        assert lines[-2:] == [
+            "note: sharp constant: the bound depends only on the doubling pattern's "
+            "zero surgery, independent of depth and height",
+            "note: under the condition, no positive multiple of the result is slice "
+            "or even rationally solvable one level higher",
+        ]
+
+    @pytest.mark.parametrize("build", ["myknot", "bd"])
+    def test_sharp_constant_rejected_elsewhere(self, docfile, capsys, build):
+        # judged by the Bing rule (myknot) and the infection rule (bd)
+        assert main(["--doc", docfile, "verdict", build]) == 0
+        assert main(["--doc", docfile, "verdict", build, "--sharp-constant"]) == 1
+        captured = capsys.readouterr()
+        assert "input error" in captured.err and "sharp constant" in captured.err
+
+    def test_invalid_build_fails_the_document(self, tmp_path, capsys):
+        doc = {**DOC, "builds": {**DOC["builds"], "bad": {
+            "op": "rdouble", "parent": {"op": "trivial_link", "components": 2}}}}
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(doc))
+        assert main(["--doc", str(p), "canon", "J2"]) == 1
+        assert "input error" in capsys.readouterr().err
+
     def test_hypothesis_failure_exit_2(self, tmp_path, capsys):
         doc = {
             "knots": {"mystery": {"opaque": True, "flags": {}}},
@@ -349,22 +381,44 @@ class TestCommands:
         assert main(["--doc", str(p), "verdict", "bad"]) == 2
 
 
-README_DOC = {
-    "knots": {
-        "K": {"seifert": [[0, 2], [1, 0]], "flags": {}},
-        "K1": {"opaque": True, "flags": {"arf_zero": True}},
-    },
-    "axioms": [["rho0(K1)"]],
-    "builds": {
-        "J2": {"op": "rdouble", "parent": {"op": "rdouble", "parent": "K"}},
-        "tower": {"op": "infect",
-                  "parent": {"op": "trivial_link", "components": 2},
-                  "curves": [{"label": "alpha", "word": "[x1,x2]"}],
-                  "infectants": ["J2"]},
-        "BD2": {"op": "bing", "parent": "J2", "iterations": 2},
-    },
-    "options": {"tol": "1e-9"},
+def _readme_blocks(lang):
+    """The fenced code blocks of README.md in language `lang`."""
+    import os
+    import re
+
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        return re.findall(rf"^```{lang}\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+README_DOC = json.loads(_readme_blocks("json")[0])
+
+# README comments that quote a command's output line word for word
+README_OUTPUTS = {
+    "-1.333333333 ± 1e-9", "arf(trefoil) = 1", "depth = 2", "solvable upper bound: 3",
 }
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `concord` line of the README's shell blocks runs against its
+    JSON document, and the outputs its comments quote are the ones printed."""
+    import shlex
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(json.dumps(README_DOC))
+    lines = [line for block in _readme_blocks("sh") for line in block.splitlines()
+             if line.startswith("concord ")]
+    assert len(lines) >= 12
+    quoted = set()
+    for line in lines:
+        command, _, comment = line.partition("  #")
+        code = main(shlex.split(command)[1:])
+        out = capsys.readouterr().out
+        assert code == 0, line
+        if comment.strip() in README_OUTPUTS:
+            assert comment.strip() in out.splitlines(), (line, out)
+            quoted.add(comment.strip())
+    assert quoted == README_OUTPUTS
 
 
 def test_import_loads_no_heavy_modules(tmp_path):

@@ -19,7 +19,6 @@ from concord.construction import (
     WordDepth,
     component_count,
     expand_clones,
-    normalize_tree,
     operator_pattern,
     rdouble_tower,
     solvability_upper_bound,
@@ -58,45 +57,67 @@ class TestNodes:
 
 
 class TestNormalize:
+    """Nodes are normalized when built: the constructors apply the
+    rewriting rules and reject invalid nodes on the spot."""
+
     def test_multiple_of_knot_expands(self):
-        assert normalize_tree(Multiple(TREFOIL, 1)) == TREFOIL
-        out = normalize_tree(Multiple(TREFOIL, 3))
-        assert isinstance(out, ConnectedSum) and len(out.parts) == 3
+        assert Multiple(TREFOIL, 1) is TREFOIL
+        out = Multiple(TREFOIL, 3)
+        assert isinstance(out, ConnectedSum) and out.parts == (TREFOIL,) * 3
 
     def test_sum_flattens(self):
         inner = ConnectedSum((TREFOIL, UNKNOT))
-        out = normalize_tree(ConnectedSum((inner, TREFOIL)))
+        out = ConnectedSum((inner, TREFOIL))
         assert isinstance(out, ConnectedSum) and len(out.parts) == 3
+        assert not any(isinstance(p, ConnectedSum) for p in out.parts)
+        assert ConnectedSum((TREFOIL,)) is TREFOIL
 
     def test_sum_deterministic_order(self):
-        a = normalize_tree(ConnectedSum((TREFOIL, UNKNOT)))
-        b = normalize_tree(ConnectedSum((UNKNOT, TREFOIL)))
-        assert a == b
+        a = ConnectedSum((TREFOIL, UNKNOT))
+        b = ConnectedSum((UNKNOT, TREFOIL))
+        assert a == b and a.parts == b.parts
+        assert ConnectedSum((a, NINE46)) == ConnectedSum((NINE46, b))
 
     def test_rdouble_expands_to_infection(self):
-        out = normalize_tree(RDouble(TREFOIL))
+        out = RDouble(TREFOIL)
         assert isinstance(out, Infect)
         assert out.parent == NINE46
         assert len(out.curves) == 2
         assert out.infectants == (TREFOIL, TREFOIL)
         assert out.curves[0].alex_class is not None
 
+    def test_rdouble_equal_when_built_twice(self):
+        assert RDouble(TREFOIL) == RDouble(TREFOIL)
+        assert rdouble_tower(TREFOIL, 3) == rdouble_tower(TREFOIL, 3)
+
     def test_bing_double_expands(self):
-        out = normalize_tree(BingDouble(TREFOIL, 2))
+        out = BingDouble(TREFOIL, 2)
         assert isinstance(out, Infect)
         assert out.parent == TrivialLink(4)
         assert isinstance(out.curves[0].certificate, WordDepth)
 
     def test_multiple_of_link_stays(self):
         link = BingDouble(TREFOIL, 1)
-        out = normalize_tree(Multiple(link, 2))
-        assert isinstance(out, Multiple) and out.count == 2
+        out = Multiple(link, 2)
+        assert isinstance(out, Multiple) and out.count == 2 and out.parent == link
+        assert Multiple(out, 1) is out
 
     def test_word_rank_must_match_ambient(self):
         word = parse_word("[x1,x2]", 2)
-        bad = Infect(TrivialLink(4), (CurveSpec("a", WordDepth(word)),), (TREFOIL,))
-        with pytest.raises(ConstructionError):
-            normalize_tree(bad)
+        with pytest.raises(ConstructionError, match="rank"):
+            Infect(TrivialLink(4), (CurveSpec("a", WordDepth(word)),), (TREFOIL,))
+
+    def test_knots_only_where_knots_belong(self):
+        link = TrivialLink(2)
+        word = parse_word("[x1,x2]", 2)
+        for build in [
+            lambda: RDouble(link),
+            lambda: BingDouble(link),
+            lambda: ConnectedSum((TREFOIL, link)),
+            lambda: Infect(link, (CurveSpec("a", WordDepth(word)),), (link,)),
+        ]:
+            with pytest.raises(ConstructionError):
+                build()
 
 
 class TestSolvability:
@@ -169,7 +190,7 @@ class TestExpandClones:
 
     def test_level_zero_is_identity(self):
         tree = rdouble_tower(arf_zero_knot(), 2)
-        assert expand_clones(tree, 0) == normalize_tree(tree)
+        assert expand_clones(tree, 0) is tree
 
     def test_clone_counts(self):
         tree = rdouble_tower(arf_zero_knot(), 3)

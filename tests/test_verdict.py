@@ -15,7 +15,6 @@ from concord.construction import (
     SliceLinkAssumed,
     TrivialLink,
     WordDepth,
-    normalize_tree,
     operator_pattern,
     rdouble_tower,
 )
