@@ -27,7 +27,6 @@ from concord.seifert import (
     connected_sum,
     mirror,
     rho0,
-    rho0_riemann_estimate,
     signature_at,
     signature_function,
 )

@@ -1,13 +1,14 @@
 """Classical abelian knot invariants from Seifert matrices.
 
 A knot enters the library as a Seifert matrix V (square, integer,
-det(V - V^T) = +-1).  Everything downstream is exact: the Alexander
-polynomial is a Bareiss determinant over Q[t,t^-1]; the Levine signature
-function is computed with an exact jump locus (Sturm isolation of the
-unit-circle zeros of the Alexander polynomial under x = t + 1/t) and
-exact arc values (signatures by symmetric elimination over Q at
-rational points of the circle); the signature integral rho0 carries a
-certified error bound.
+det(V - V^T) = +-1).  Everything downstream is exact and runs on
+integers: the Alexander polynomial is interpolated from integer Bareiss
+determinants det(xV - V^T) at x = 0..n; the Levine signature function is
+computed with an exact jump locus (Sturm isolation of the unit-circle
+zeros of the Alexander polynomial under x = t + 1/t) and exact arc values
+(the inertia of an integer Hermitian form at a rational point of the
+circle, by fraction-free symmetric elimination); the signature integral
+rho0 carries a certified error bound.
 
 Sign convention: sigma(omega) is the signature of (1-omega)V +
 (1-conj(omega))V^T.  Mirroring (V -> -V^T) negates sigma and rho0.
@@ -15,7 +16,6 @@ Sign convention: sigma(omega) is the signature of (1-omega)V +
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import comb
 from typing import List, Optional, Sequence, Tuple
@@ -27,7 +27,7 @@ from concord.certified import (
     acos_of_enclosure,
     pi_interval,
 )
-from concord.laurent import LaurentPoly, exact_div
+from concord.laurent import LaurentPoly
 from concord.realroots import IsolatedRoot
 
 class SeifertMatrix:
@@ -73,15 +73,23 @@ class SeifertMatrix:
         return f"SeifertMatrix({label}, {len(self.entries)}x{len(self.entries)})"
 
 
-def _bareiss(m: list, one, exact):
-    """Fraction-free Bareiss determinant over an integral domain whose
-    exact division is `exact`; every division in it is exact."""
+def _exact(a: int, b: int) -> int:
+    """a / b, which must be an integer."""
+    q, r = divmod(a, b)
+    if r:
+        raise AssertionError(f"inexact division {a} / {b}")
+    return q
+
+
+def det_integer(m: List[List[int]]) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix; every
+    division in it is exact."""
     n = len(m)
     if n == 0:
-        return one
+        return 1
     m = [row[:] for row in m]
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -90,22 +98,15 @@ def _bareiss(m: list, one, exact):
                     sign = -sign
                     break
             else:
-                return m[k][k]  # the zero of the domain: no pivot in column k
+                return 0  # no pivot in column k
+        piv, rowk = m[k][k], m[k]
         for i in range(k + 1, n):
+            ri = m[i]
+            mik = ri[k]
             for j in range(k + 1, n):
-                m[i][j] = exact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-        prev = m[k][k]
-    return m[-1][-1] if sign == 1 else -m[-1][-1]
-
-
-def det_integer(m: List[List[int]]) -> int:
-    """Bareiss determinant of an integer matrix."""
-    return _bareiss(m, 1, operator.floordiv)
-
-
-def det_laurent(m: List[List[LaurentPoly]]) -> LaurentPoly:
-    """Bareiss determinant over Q[t,t^-1]."""
-    return _bareiss(m, LaurentPoly.one(), exact_div)
+                ri[j] = _exact(ri[j] * piv - mik * rowk[j], prev)
+        prev = piv
+    return sign * m[-1][-1]
 
 
 def mirror(v: SeifertMatrix) -> SeifertMatrix:
@@ -133,16 +134,25 @@ def connected_sum(v1: SeifertMatrix, v2: SeifertMatrix) -> SeifertMatrix:
 
 
 def alexander_poly(v: SeifertMatrix) -> LaurentPoly:
-    """normalize(det(tV - V^T)); satisfies Delta(1) = +-1."""
+    """normalize(det(tV - V^T)); satisfies Delta(1) = +-1.
+
+    The determinant has degree <= n in t, so it is read off its integer
+    values at t = 0..n by Newton interpolation; the divided differences of
+    an integer polynomial at consecutive integers are integers.
+    """
     n = v.size()
-    if n == 0:
-        return LaurentPoly.one()
-    t = LaurentPoly.t()
-    m = [
-        [t.scale(v.entries[i][j]) - LaurentPoly.constant(v.entries[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    return det_laurent(m).normalize()
+    e = v.entries
+    c = [det_integer([[x * e[i][j] - e[j][i] for j in range(n)] for i in range(n)])
+         for x in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            c[i] = _exact(c[i] - c[i - 1], j)
+    # Newton form c0 + c1 t + c2 t(t-1) + ... to monomials, by Horner
+    poly = [c[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [c[k] - k * poly[0]] + [
+            poly[i - 1] - k * poly[i] for i in range(1, len(poly))] + [poly[-1]]
+    return LaurentPoly.from_coeffs(poly).normalize()
 
 
 def arf(v: SeifertMatrix) -> int:
@@ -155,89 +165,77 @@ def arf(v: SeifertMatrix) -> int:
 # -- exact signatures at rational points of the circle --------------------------
 
 
-def _circle_point(tau: Fraction) -> Tuple[Fraction, Fraction]:
-    """omega = e^{i theta} with tan(theta/2) = tau, as exact rationals."""
-    tau = Fraction(tau)
-    d = 1 + tau * tau
-    return (1 - tau * tau) / d, 2 * tau / d
+def _congruence_pivot(m: List[List[int]]) -> None:
+    """For a symmetric matrix with zero diagonal: row/col 0 += row/col j,
+    a congruence that makes the (0, 0) entry 2 m[0][j] nonzero.  Raises
+    if row 0 is zero (the form is singular)."""
+    n = len(m)
+    j = next((j for j in range(1, n) if m[0][j]), None)
+    if j is None:
+        raise ValueError("singular Hermitian form (sample point on the jump locus)")
+    for k in range(n):
+        m[0][k] += m[j][k]
+    for k in range(n):
+        m[k][0] += m[k][j]
 
 
-def _symmetric_signature(m: List[List[Fraction]]) -> int:
-    """Signature of a nonsingular symmetric rational matrix.
+def _integer_signature(m: List[List[int]]) -> int:
+    """Signature of a nonsingular symmetric integer matrix.
 
-    Symmetric Gaussian elimination is a congruence, so by Sylvester's law
-    of inertia the signs of the pivots give the signature.  When every
-    diagonal entry is zero, row/col 0 += row/col j turns the pivot into
-    2 m[0][j].  A zero row left over means the form is singular.
+    Fraction-free symmetric elimination (Bareiss): the remaining block is
+    always d times the rational Schur complement, d the last pivot, so
+    each update (piv m[i][k] - m[i][p] m[p][k]) / d is exact.  Taking any
+    diagonal pivot is a symmetric permutation, and it and the zero-diagonal
+    step are congruences, so by Sylvester's law of inertia the signs of the
+    rational pivots d_k / d_(k-1) give the signature.
     """
     m = [row[:] for row in m]
-    sig = 0
+    sig, prev = 0, 1
     while m:
         n = len(m)
         p = next((i for i in range(n) if m[i][i]), None)
         if p is None:
-            j = next((j for j in range(1, n) if m[0][j]), None)
-            if j is None:
-                raise ValueError("singular Hermitian form (sample point on the jump locus)")
-            for k in range(n):
-                m[0][k] += m[j][k]
-            for k in range(n):
-                m[k][0] += m[k][j]
+            _congruence_pivot(m)
             p = 0
-        piv = m[p][p]
-        sig += 1 if piv > 0 else -1
+        rowp = m[p]
+        piv = rowp[p]
+        sig += 1 if (piv > 0) == (prev > 0) else -1
         rest = [i for i in range(n) if i != p]
-        m = [
-            [m[i][k] - m[i][p] * m[p][k] / piv for k in rest]
-            for i in rest
-        ]
+        new = [[0] * (n - 1) for _ in rest]
+        for a, i in enumerate(rest):
+            ri, na = m[i], new[a]
+            mip = ri[p]
+            for b in range(a, n - 1):
+                k = rest[b]
+                na[b] = new[b][a] = _exact(piv * ri[k] - mip * rowp[k], prev)
+        m, prev = new, piv
     return sig
-
-
-def _hermitian_signature(a: List[List[Fraction]], b: List[List[Fraction]]) -> int:
-    """Signature of the Hermitian matrix A + iB (A symmetric, B
-    antisymmetric), exactly.
-
-    Realified to the symmetric [[A, -B], [B, A]], whose spectrum doubles
-    that of A + iB.  Requires A + iB nonsingular.
-    """
-    n = len(a)
-    if n == 0:
-        return 0
-    big = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            big[i][j] = a[i][j]
-            big[i][n + j] = -b[i][j]
-            big[n + i][j] = b[i][j]
-            big[n + i][n + j] = a[i][j]
-    sig2 = _symmetric_signature(big)
-    assert sig2 % 2 == 0
-    return sig2 // 2
 
 
 def signature_at(v: SeifertMatrix, tau: Fraction) -> int:
     """Levine signature at the exact circle point with tan(theta/2) = tau.
 
+    For tau = p/q the form (1-omega)V + (1-conj(omega))V^T is 2p/(p^2+q^2)
+    times the integer Hermitian matrix p(V+V^T) - q i(V-V^T).  Its
+    realification [[A, -B], [B, A]] (A = p(V+V^T), B = -q(V-V^T)) is a
+    symmetric integer matrix with twice its spectrum.
+
     tau = 0 is omega = 1, where the form degenerates; not allowed.
     """
     tau = Fraction(tau)
-    if tau == 0:
+    p, q = tau.numerator, tau.denominator
+    if p == 0:
         raise ValueError("omega = 1 is excluded")
     n = v.size()
     if n == 0:
         return 0
-    re, im = _circle_point(tau)
-    vm = v.entries
-    a = [
-        [(1 - re) * (vm[i][j] + vm[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    b = [
-        [-im * (vm[i][j] - vm[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    return _hermitian_signature(a, b)
+    e = v.entries
+    a = [[p * (e[i][j] + e[j][i]) for j in range(n)] for i in range(n)]
+    b = [[q * (e[i][j] - e[j][i]) for j in range(n)] for i in range(n)]  # = -B
+    big = [a[i] + b[i] for i in range(n)] + [[-x for x in b[i]] + a[i] for i in range(n)]
+    sig2 = _integer_signature(big)
+    assert sig2 % 2 == 0
+    return sig2 // 2 if p > 0 else -sig2 // 2
 
 
 # -- signature function -----------------------------------------------------------
@@ -405,27 +403,3 @@ def rho0(v: SeifertMatrix, tol: Fraction = Fraction(1, 10**9)) -> CertifiedReal:
             return out
         err /= 16
     raise AssertionError("rho0 refinement failed to reach tolerance")
-
-
-def rho0_riemann_estimate(v: SeifertMatrix, samples: int = 10**6) -> float:
-    """Independent numerical oracle: a Riemann sum of float signatures at
-    uniform circle samples.  Used to cross-check the certified value; the
-    exact path never consults it.  Needs numpy (the `test` extra)."""
-    import numpy as np
-
-    n = v.size()
-    if n == 0:
-        return 0.0
-    vm = np.array(v.entries, dtype=np.float64)
-    total = 0.0
-    chunk = 65536
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        theta = 2.0 * np.pi * (np.arange(done, done + m) + 0.5) / samples
-        om = np.exp(1j * theta)
-        h = (1 - om)[:, None, None] * vm[None, :, :] + (1 - om.conj())[:, None, None] * vm.T[None, :, :]
-        eigs = np.linalg.eigvalsh(h)
-        total += float(np.sum(eigs > 1e-12) - np.sum(eigs < -1e-12))
-        done += m
-    return total / samples

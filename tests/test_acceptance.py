@@ -47,7 +47,6 @@ from concord.seifert import (
     arf,
     connected_sum,
     rho0,
-    rho0_riemann_estimate,
 )
 from concord.verdict import (
     NOT_SLICE,
@@ -55,7 +54,7 @@ from concord.verdict import (
     bing_obstruction,
     doubling_operator_verdict,
 )
-from test_seifert import random_seifert
+from test_seifert import random_seifert, rho0_riemann_estimate
 
 
 @contextmanager

@@ -449,6 +449,30 @@ def test_import_loads_no_heavy_modules(tmp_path):
     assert lines[-2:] == ["[0, 0, 0]", "[]"]
 
 
+def test_runtime_needs_only_the_stdlib():
+    """With numpy and sympy made unimportable, every concord module imports
+    and the `rho0` and `alex` commands succeed: the package declares no
+    runtime dependencies."""
+    import os
+    import subprocess
+    import sys
+
+    import concord
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(concord.__file__)))
+    code = ("import sys\n"
+            "sys.modules['numpy'] = sys.modules['sympy'] = None\n"
+            "import importlib, pkgutil, concord\n"
+            "for m in pkgutil.iter_modules(concord.__path__):\n"
+            "    importlib.import_module('concord.' + m.name)\n"
+            "from concord.cli import main\n"
+            "print([main(['rho0', 'trefoil']), main(['alex', 'nine46'])])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0]"
+
+
 def test_src_does_not_import_sympy():
     import os
     import re

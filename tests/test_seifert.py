@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from concord import catalog
+from concord import catalog, seifert
 from concord.laurent import LaurentPoly
 from concord.seifert import (
     SeifertMatrix,
@@ -14,10 +14,9 @@ from concord.seifert import (
     det_integer,
     mirror,
     rho0,
-    rho0_riemann_estimate,
     signature_at,
     signature_function,
-    _symmetric_signature,
+    _integer_signature,
 )
 
 
@@ -60,6 +59,29 @@ def random_seifert(rng, genus):
     return SeifertMatrix(out)
 
 
+def rho0_riemann_estimate(v: SeifertMatrix, samples: int = 10**6) -> float:
+    """Independent numerical oracle for rho0: a Riemann sum of float
+    signatures at uniform circle samples."""
+    import numpy as np
+
+    n = v.size()
+    if n == 0:
+        return 0.0
+    vm = np.array(v.entries, dtype=np.float64)
+    total = 0.0
+    chunk = 65536
+    done = 0
+    while done < samples:
+        m = min(chunk, samples - done)
+        theta = 2.0 * np.pi * (np.arange(done, done + m) + 0.5) / samples
+        om = np.exp(1j * theta)
+        h = (1 - om)[:, None, None] * vm[None, :, :] + (1 - om.conj())[:, None, None] * vm.T[None, :, :]
+        eigs = np.linalg.eigvalsh(h)
+        total += float(np.sum(eigs > 1e-12) - np.sum(eigs < -1e-12))
+        done += m
+    return total / samples
+
+
 class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,6 +118,23 @@ class TestAlexander:
             d = alexander_poly(v)
             assert d.evaluate(1) in (1, -1)
             assert d.eq_up_to_units(d.conjugate())
+
+    def test_against_sympy_determinant(self):
+        # oracle: sympy's det(tV - V^T), up to the units +-t^k
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        t = sympy.Symbol("t")
+        rng = random.Random(31)
+        for genus in range(1, 6):
+            for _ in range(6):
+                v = random_seifert(rng, genus)
+                n = v.size()
+                e = v.entries
+                m = sympy.Matrix(n, n, lambda i, j: t * e[i][j] - e[j][i])
+                d = DomainMatrix.from_Matrix(m).det()
+                expect = LaurentPoly({k: int(c) for (k,), c in d.terms()})
+                assert alexander_poly(v).eq_up_to_units(expect)
 
     def test_connected_sum_multiplies(self):
         d = alexander_poly(connected_sum(TREFOIL, FIG8))
@@ -192,29 +231,40 @@ class TestSignatureFunction:
             except ValueError:
                 pass
 
-    def test_against_numpy_eigenvalues(self):
-        # oracle: eigenvalue signs of (1 - w)V + (1 - conj w)V^T in floats
+    def test_against_numpy_eigenvalues(self, monkeypatch):
+        # oracle: eigenvalue signs in floats, on genus 1-5 knots at +-tau;
+        # some samples must take the zero-diagonal congruence step
         np = pytest.importorskip("numpy")
+        congruences = []
+        fold = seifert._congruence_pivot
+
+        def counted(m):
+            congruences.append(len(m))
+            return fold(m)
+
+        monkeypatch.setattr(seifert, "_congruence_pivot", counted)
         rng = random.Random(21)
         checked = 0
         for _ in range(150):
             v = random_seifert(rng, rng.randrange(1, 6))
             tau = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 200), rng.randrange(1, 60))
-            theta = 2 * math.atan(tau)
-            w = complex(math.cos(theta), math.sin(theta))
             vm = np.array(v.entries, dtype=float)
-            eigs = np.linalg.eigvalsh((1 - w) * vm + (1 - w.conjugate()) * vm.T)
-            if np.min(np.abs(eigs)) < 1e-8:
-                continue
-            checked += 1
-            assert signature_at(v, tau) == int(np.sum(eigs > 0) - np.sum(eigs < 0))
-        assert checked > 100
+            for t in (tau, -tau):
+                theta = 2 * math.atan(t)
+                w = complex(math.cos(theta), math.sin(theta))
+                eigs = np.linalg.eigvalsh((1 - w) * vm + (1 - w.conjugate()) * vm.T)
+                if np.min(np.abs(eigs)) < 1e-8:
+                    continue
+                checked += 1
+                assert signature_at(v, t) == int(np.sum(eigs > 0) - np.sum(eigs < 0))
+        assert checked > 200
+        assert congruences, "no sample took the zero-diagonal congruence step"
 
     def test_singular_form_raises(self):
         with pytest.raises(ValueError):
-            _symmetric_signature([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
+            _integer_signature([[0, 0], [0, 1]])
         with pytest.raises(ValueError):
-            _symmetric_signature([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+            _integer_signature([[1, 2], [2, 4]])
 
     def test_symmetric_signature_zero_diagonals(self):
         # hollow matrices force the row/col 0 += row/col j congruence
@@ -231,8 +281,7 @@ class TestSignatureFunction:
             if np.min(np.abs(eigs)) < 1e-8:
                 continue
             checked += 1
-            frac = [[Fraction(x) for x in row] for row in m]
-            assert _symmetric_signature(frac) == np.sum(eigs > 0) - np.sum(eigs < 0)
+            assert _integer_signature(m) == np.sum(eigs > 0) - np.sum(eigs < 0)
         assert checked > 50
 
 
@@ -253,31 +302,15 @@ class TestTorusKnotStaircase:
     values are 0, -2, ..., -(n-1) and the integral is
     (2/n) * sum of those values."""
 
-    def test_torus_2_5(self):
-        v = torus_2_chain(2)
-        d = alexander_poly(v)
-        # (t^5 + 1)/(t + 1)
-        assert d == lp({4: 1, 3: -1, 2: 1, 1: -1, 0: 1})
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_torus_2_2g_plus_1(self, g):
+        v = torus_2_chain(g)
+        # (t^(2g+1) + 1)/(t + 1)
+        assert alexander_poly(v) == lp({k: (-1) ** k for k in range(2 * g + 1)})
         sf = signature_function(v)
-        assert sf.upper_values == [0, -2, -4]
+        assert sf.upper_values == list(range(0, -2 * g - 1, -2))
         val = rho0(v, Fraction(1, 10**10))
-        assert val.contains(Fraction(-12, 5))
-
-    def test_torus_2_7(self):
-        v = torus_2_chain(3)
-        d = alexander_poly(v)
-        assert d == lp({6: 1, 5: -1, 4: 1, 3: -1, 2: 1, 1: -1, 0: 1})
-        sf = signature_function(v)
-        assert sf.upper_values == [0, -2, -4, -6]
-        val = rho0(v, Fraction(1, 10**10))
-        assert val.contains(Fraction(-24, 7))
-
-    def test_torus_2_9(self):
-        v = torus_2_chain(4)
-        sf = signature_function(v)
-        assert sf.upper_values == [0, -2, -4, -6, -8]
-        val = rho0(v, Fraction(1, 10**9))
-        assert val.contains(Fraction(-40, 9))
+        assert val.contains(Fraction(-2 * g * (g + 1), 2 * g + 1))
         est = rho0_riemann_estimate(v, samples=100000)
         assert abs(est - float(val.midpoint)) < 1e-3
 
