@@ -18,7 +18,7 @@ from concord.laurent import (
     lcm,
     normalize,
 )
-from concord.certified import CertifiedReal, Interval
+from concord.certified import Interval
 from concord.seifert import (
     SeifertMatrix,
     SignatureFunction,

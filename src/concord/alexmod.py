@@ -376,12 +376,6 @@ class BlanchfieldForm:
                 out = out + self.gram[i][j].scale_poly(xi * yj.conjugate())
         return out
 
-    def is_nonsingular_on_basis(self) -> bool:
-        n = len(self.gram)
-        return all(
-            any(not self.gram[i][j].is_zero() for j in range(n)) for i in range(n)
-        )
-
 
 # -- submodules -----------------------------------------------------------------
 

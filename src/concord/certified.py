@@ -1,22 +1,25 @@
 """Certified real enclosures with rational endpoints.
 
-Everything here is exact: an Interval is a pair of Fractions guaranteed to
-contain the value it describes, and the transcendental enclosures (pi,
-arccos, square roots) come from series with explicit remainder bounds.
-Floating point is never consulted.
+Everything here is exact.  The one enclosure type is `Interval`: a pair of
+Fractions [lo, hi] guaranteed to contain the value it describes, read as
+a midpoint and a radius where a result is reported.  The transcendental
+enclosures (pi, arccos, square roots) come from series with explicit
+remainder bounds or from integer square roots.  Floating point is never
+consulted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from math import isqrt
+
+from concord.laurent import memo
 
 _ZERO = Fraction(0)
 
 
 class Interval:
-    """A closed interval [lo, hi] with rational endpoints."""
+    """A real number known to lie in the closed interval [lo, hi]."""
 
     __slots__ = ("lo", "hi")
 
@@ -31,20 +34,22 @@ class Interval:
         x = Fraction(x)
         return cls(x, x)
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
+    @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
+    @property
     def radius(self) -> Fraction:
         return (self.hi - self.lo) / 2
 
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def is_exact(self) -> bool:
+        return self.lo == self.hi
+
     def contains(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def excludes_zero(self) -> bool:
         return self.lo > 0 or self.hi < 0
@@ -64,63 +69,11 @@ class Interval:
             return Interval(self.lo * c, self.hi * c)
         return Interval(self.hi * c, self.lo * c)
 
-    def __mul__(self, o: "Interval") -> "Interval":
-        cands = [self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi]
-        return Interval(min(cands), max(cands))
-
     def __truediv__(self, o: "Interval") -> "Interval":
         if o.lo <= 0 <= o.hi:
             raise ZeroDivisionError("division by an interval containing zero")
         cands = [self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi]
         return Interval(min(cands), max(cands))
-
-    def __repr__(self) -> str:
-        return f"Interval({self.lo}, {self.hi})"
-
-
-@dataclass(frozen=True)
-class CertifiedReal:
-    """A real number known to lie within `radius` of `midpoint`."""
-
-    midpoint: Fraction
-    radius: Fraction
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("negative radius")
-
-    @classmethod
-    def exact(cls, x) -> "CertifiedReal":
-        return cls(Fraction(x), _ZERO)
-
-    @classmethod
-    def from_interval(cls, iv: Interval) -> "CertifiedReal":
-        return cls(iv.midpoint(), iv.radius())
-
-    def interval(self) -> Interval:
-        return Interval(self.midpoint - self.radius, self.midpoint + self.radius)
-
-    def contains(self, x) -> bool:
-        return abs(Fraction(x) - self.midpoint) <= self.radius
-
-    def __add__(self, o: "CertifiedReal") -> "CertifiedReal":
-        return CertifiedReal(self.midpoint + o.midpoint, self.radius + o.radius)
-
-    def __sub__(self, o: "CertifiedReal") -> "CertifiedReal":
-        return CertifiedReal(self.midpoint - o.midpoint, self.radius + o.radius)
-
-    def __neg__(self) -> "CertifiedReal":
-        return CertifiedReal(-self.midpoint, self.radius)
-
-    def scale(self, c) -> "CertifiedReal":
-        c = Fraction(c)
-        return CertifiedReal(self.midpoint * c, self.radius * abs(c))
-
-    def is_exact(self) -> bool:
-        return self.radius == 0
-
-    def excludes_zero(self) -> bool:
-        return abs(self.midpoint) > self.radius
 
     def decimal_str(self, digits: int = 12) -> str:
         """Fixed-point decimal rendering of the midpoint (round-half-even)."""
@@ -133,19 +86,15 @@ class CertifiedReal:
             return f"{sign}{whole}"
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
-    def __str__(self) -> str:
-        if self.radius == 0:
-            return f"{self.midpoint} (exact)"
-        return f"{self.decimal_str()} +/- {float(self.radius):.3g}"
+    def __repr__(self) -> str:
+        return f"Interval({self.lo}, {self.hi})"
 
 
 # -- pi -----------------------------------------------------------------------
 
-# The tightest enclosure computed so far; every looser request is answered
-# with it.  Not a `laurent.memo` keyed by err: callers read its lo/hi (the
-# CSV sampling of `concord sig`), and a fresh enclosure per err could change
-# their output.
-_PI_CACHE: Tuple[int, Interval] = (0, Interval(3, 4))
+# No pi enclosure is wider: a looser request gets the one of this width, so
+# every caller at the command line's tolerances reads one and the same pi.
+_PI_WIDTH = Fraction(1, 10**40)
 
 
 def _atan_recip_interval(n: int, err: Fraction) -> Interval:
@@ -164,18 +113,18 @@ def _atan_recip_interval(n: int, err: Fraction) -> Interval:
     return Interval(total - term, total)
 
 
-def pi_interval(err: Fraction = Fraction(1, 10**40)) -> Interval:
+def pi_interval(err: Fraction = _PI_WIDTH) -> Interval:
+    """An enclosure of pi of width at most min(err, 1e-40)."""
+    return _machin(min(Fraction(err), _PI_WIDTH))
+
+
+@memo
+def _machin(width: Fraction) -> Interval:
     """Machin's formula: pi = 16 atan(1/5) - 4 atan(1/239)."""
-    global _PI_CACHE
-    err = Fraction(err)
-    cached_err, cached = _PI_CACHE
-    if cached_err and cached.width() <= err:
-        return cached
-    sub = err / 64
+    sub = width / 64
     iv = _atan_recip_interval(5, sub).scale(16) - _atan_recip_interval(239, sub).scale(4)
-    if iv.width() > err:
+    if iv.width() > width:
         raise AssertionError("pi enclosure wider than requested")
-    _PI_CACHE = (1, iv)
     return iv
 
 
@@ -183,31 +132,22 @@ def pi_interval(err: Fraction = Fraction(1, 10**40)) -> Interval:
 
 
 def sqrt_interval(q: Fraction, err: Fraction) -> Interval:
-    """Enclosure of sqrt(q) for rational q >= 0 by dyadic bisection."""
-    q = Fraction(q)
+    """Enclosure of sqrt(q) for rational q >= 0: the dyadic grid cell of
+    width 1/(den 2^k) <= err that holds it, k >= 0 least, den = q's
+    denominator; the point itself when q is a rational square."""
+    q, err = Fraction(q), Fraction(err)
     if q < 0:
         raise ValueError("square root of a negative rational")
-    if q == 0:
-        return Interval.point(0)
-    r2 = q.numerator * q.denominator  # sqrt(q) = sqrt(r2)/den
     den = q.denominator
-    lo_i = _isqrt(r2)
-    lo, hi = Fraction(lo_i, den), Fraction(lo_i + 1, den)
-    if lo * lo == q:
-        return Interval.point(lo)
-    while hi - lo > err:
-        mid = (lo + hi) / 2
-        if mid * mid <= q:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
-
-
-def _isqrt(n: int) -> int:
-    from math import isqrt
-
-    return isqrt(n)
+    r2 = q.numerator * den  # sqrt(q) = sqrt(r2)/den
+    root = isqrt(r2)
+    if root * root == r2:
+        return Interval.point(Fraction(root, den))
+    # least k >= 0 with 2^k >= c = ceil(1/(err den))
+    c = -(-err.denominator // (den * err.numerator))
+    k = (c - 1).bit_length()
+    m = isqrt(r2 << 2 * k)
+    return Interval(Fraction(m, den << k), Fraction(m + 1, den << k))
 
 
 # -- arcsin / arccos -------------------------------------------------------------
@@ -252,7 +192,7 @@ def acos_interval(y: Fraction, err: Fraction) -> Interval:
         raise ValueError("arccos argument outside [-1, 1]")
     if y == 1:
         return Interval.point(0)
-    pi = pi_interval(min(err / 8, Fraction(1, 10**40)))
+    pi = pi_interval(err / 8)
     if y == -1:
         return pi
     if y < 0:

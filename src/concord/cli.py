@@ -93,11 +93,11 @@ def cmd_sig(args, doc: InputDocument) -> int:
     sf = signature_function(v)
     err = Fraction(1, 10**12)
     thetas = sf.theta_enclosures(err, err)
-    two_pi = pi_interval(err).midpoint() * 2
+    two_pi = pi_interval(err).midpoint * 2
     lines = [f"signature function of {args.knot}:"]
     jump_rows = []
     for iso, th in zip(sf.upper_jumps, thetas):
-        frac = th.midpoint() / two_pi
+        frac = th.midpoint / two_pi
         x_mid = float((iso.lo + iso.hi) / 2)
         jump_rows.append({
             "x": x_mid,
@@ -167,13 +167,26 @@ def cmd_rho0(args, doc: InputDocument) -> int:
         text = f"{val.midpoint} (exact)"
     else:
         text = f"{val.decimal_str(digits)} ± {tol_text}"
+    if not args.json:
+        print(text)
+        return EXIT_OK
+    mid = val.midpoint
     _emit(args, {
         "knot": args.knot,
-        "midpoint": [str(val.midpoint.numerator), str(val.midpoint.denominator)],
+        "midpoint": [_digits(mid.numerator), _digits(mid.denominator)],
         "radius": float(val.radius),
         "display": text,
     }, text)
     return EXIT_OK
+
+
+def _digits(n: int) -> str:
+    """Decimal text of an integer the program made, however long.  A tight
+    rho0 midpoint can pass Python's limit on int-to-str conversion, which
+    guards against untrusted input; Decimal's conversion has no limit."""
+    from decimal import Decimal
+
+    return str(Decimal(n))
 
 
 def cmd_arf(args, doc: InputDocument) -> int:

@@ -238,11 +238,11 @@ def BingDouble(parent: "Node", iterations: int = 1) -> Infect:
     return Infect(TrivialLink(rank), (curve,), (parent,))
 
 
-def RDouble(parent: "Node", operator: str = "nine46") -> Infect:
+def RDouble(parent: "Node") -> Infect:
     """The generalized double of a knot: the standard two-band ribbon
     pattern (the 9_46 knot) infected along its band meridians, by the same
     knot at both."""
-    base, curves = operator_pattern(operator)
+    base, curves = operator_pattern()
     if not is_knot(parent):
         raise ConstructionError("doubling operators apply to knots")
     return Infect(base, curves, (parent, parent))
@@ -299,20 +299,14 @@ def is_knot(node: Node) -> bool:
 # -- the 9_46 operator data ---------------------------------------------------------
 
 
-def operator_pattern(name: str = "nine46") -> Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]:
+@memo
+def operator_pattern() -> Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]:
     """Base knot + the two band-meridian curve specs of the doubling
     operator.  The curves' module classes are the two isotypic basis
     vectors of the operator's Alexander module."""
-    return _operator_pattern(name)
-
-
-@memo
-def _operator_pattern(name: str) -> Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]:
-    if name != "nine46":
-        raise ConstructionError(f"unknown doubling operator {name!r}")
     from concord.alexmod import module_from_seifert
 
-    base = BaseKnot.from_catalog(name)
+    base = BaseKnot.from_catalog("nine46")
     mod = module_from_seifert(base.seifert)
     comps = mod.isotypic_components()
     assert len(comps) == 2
@@ -321,13 +315,10 @@ def _operator_pattern(name: str) -> Tuple[BaseKnot, Tuple[CurveSpec, CurveSpec]]
     return base, (alpha, beta)
 
 
-operator_pattern.cache_info = _operator_pattern.cache_info
-
-
-def rdouble_tower(base: Node, levels: int, operator: str = "nine46") -> Node:
+def rdouble_tower(base: Node, levels: int) -> Node:
     out = base
     for _ in range(levels):
-        out = RDouble(out, operator)
+        out = RDouble(out)
     return out
 
 
@@ -535,7 +526,7 @@ def tower_decomposition(node: Node) -> Tuple[int, Node]:
     """Recognize an n-fold doubling tower (9_46 pattern) and return
     (n, terminal knot).  n = 0 when the node is not such an infection."""
     levels, terminal = doubling_chain(node)
-    base, curves = operator_pattern("nine46")
+    base, curves = operator_pattern()
     for n, level in enumerate(levels):
         if not (level.parent == base and level.curves == curves
                 and len(level.infectants) == 2):
@@ -557,7 +548,7 @@ def expand_clones(node: Node, i: int) -> Node:
         return node
     ribbon_base = rdouble_tower(BaseKnot.from_catalog("unknot"), i)
     infectant = rdouble_tower(terminal, n - i)
-    _, pattern_curves = operator_pattern("nine46")
+    _, pattern_curves = operator_pattern()
     curves = []
     for j in range(2**i):
         if i == 1:

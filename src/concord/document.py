@@ -26,6 +26,7 @@ named build, a named knot, or a built-in catalog knot.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -69,7 +70,7 @@ _BUILD_FIELDS = {
     "slice_link": {"op", "label", "components"},
     "infect": {"op", "parent", "curves", "infectants"},
     "bing": {"op", "parent", "iterations"},
-    "rdouble": {"op", "parent", "operator"},
+    "rdouble": {"op", "parent"},
     "sum": {"op", "parts"},
     "multiple": {"op", "parent", "count"},
 }
@@ -228,9 +229,7 @@ class InputDocument:
             )
         if op == "rdouble":
             _expect("parent" in spec, "'rdouble' needs 'parent'")
-            return RDouble(
-                self._node(spec["parent"], stack), str(spec.get("operator", "nine46"))
-            )
+            return RDouble(self._node(spec["parent"], stack))
         if op == "sum":
             _expect(
                 isinstance(spec.get("parts"), list) and spec["parts"],
@@ -377,6 +376,11 @@ def load_document(path: Optional[str]) -> InputDocument:
         raise DocumentError(f"cannot read document: {e}") from e
     except json.JSONDecodeError as e:
         raise DocumentError(f"document is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise DocumentError(
+            "document nests deeper than the JSON reader allows: about "
+            f"{sys.getrecursionlimit()} levels, Python's recursion limit"
+        ) from e
     return InputDocument(data)
 
 

@@ -46,8 +46,8 @@ MAX_JSON_SPAN = 1 << 16
 
 # The one memo policy of the program: every cached computation (modules,
 # Blanchfield forms, derived depths, generator images, the doubling
-# operator, rho0 values) is a pure function of hashable values, memoized by
-# this bounded LRU.  Hit and miss counts are in `f.cache_info()`.  The LRU
+# operator, pi enclosures, rho0 values) is a pure function of hashable
+# values, memoized by this bounded LRU.  Hit and miss counts are in `f.cache_info()`.  The LRU
 # keys a call by its spelling, so a function with a default parameter is a
 # public function that calls a memoized inner one with every argument
 # positional: f(w), f(w, 5) and f(w, n_max=5) then share one entry.

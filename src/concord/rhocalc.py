@@ -24,7 +24,7 @@ from concord.alexmod import (
     blanchfield_form,
     module_from_seifert,
 )
-from concord.certified import CertifiedReal
+from concord.certified import Interval
 from concord.construction import (
     BaseKnot,
     ConnectedSum,
@@ -146,9 +146,9 @@ class RhoTerm:
             self.constant, {a: c for a, c in self.coeffs if a != atom}
         )
 
-    def evaluate(self, values: Dict[RhoAtom, CertifiedReal]) -> Optional[CertifiedReal]:
+    def evaluate(self, values: Dict[RhoAtom, Interval]) -> Optional[Interval]:
         """Certified numeric value, or None if some atom has no value."""
-        total = CertifiedReal.exact(self.constant)
+        total = Interval.point(self.constant)
         for a, c in self.coeffs:
             v = values.get(a)
             if v is None:
@@ -216,7 +216,7 @@ class Axioms:
 def provably_nonzero(
     term: RhoTerm,
     axioms: Axioms,
-    values: Optional[Dict[RhoAtom, CertifiedReal]] = None,
+    values: Optional[Dict[RhoAtom, Interval]] = None,
 ) -> Tuple[bool, Optional[str]]:
     """Whether the term is certified to be a nonzero real, and by which
     route ("exact", "numeric", or "axiom")."""
@@ -313,7 +313,7 @@ def collect_knots(node: Node, registry: Dict[str, BaseKnot]) -> Union[RhoTerm, N
 
 def resolve_rho0_values(
     registry: Dict[str, BaseKnot], tol: Fraction = Fraction(1, 10**9)
-) -> Dict[RhoAtom, CertifiedReal]:
+) -> Dict[RhoAtom, Interval]:
     """Certified values for every rho0 atom whose knot has a Seifert
     matrix."""
     return {
@@ -324,7 +324,7 @@ def resolve_rho0_values(
 
 
 @memo
-def _rho0_value(seifert: SeifertMatrix, tol: Fraction) -> CertifiedReal:
+def _rho0_value(seifert: SeifertMatrix, tol: Fraction) -> Interval:
     return rho0(seifert, tol)
 
 
@@ -407,7 +407,7 @@ class FirstOrderSignatures:
     def term_strings(self) -> List[str]:
         return [str(t) for t in self.terms]
 
-    def atom_values(self, tol: Fraction = Fraction(1, 10**9)) -> Dict[RhoAtom, CertifiedReal]:
+    def atom_values(self, tol: Fraction = Fraction(1, 10**9)) -> Dict[RhoAtom, Interval]:
         return resolve_rho0_values(self.registry, tol)
 
 

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from concord import realroots
 from concord.certified import (
-    CertifiedReal,
     Interval,
     acos_of_enclosure,
     pi_interval,
@@ -296,11 +295,11 @@ class SignatureFunction:
             out.append(acos_of_enclosure(Interval(lo / 2, hi / 2), err))
         return out
 
-    def integrate(self, err: Fraction = Fraction(1, 10**12)) -> CertifiedReal:
+    def integrate(self, err: Fraction = Fraction(1, 10**12)) -> Interval:
         """rho0: the circle integral, normalized to total length 1."""
         r = len(self.upper_jumps)
         if r == 0 or all(val == 0 for val in self.upper_values):
-            return CertifiedReal.exact(0)
+            return Interval.point(0)
         # sum sigma_i (theta_{i+1} - theta_i) over (0, pi), telescoped:
         #   sum_j (sigma_{j-1} - sigma_j) theta_j + sigma_r * pi
         # and rho0 = that / pi.
@@ -310,9 +309,8 @@ class SignatureFunction:
             dv = self.upper_values[j - 1] - self.upper_values[j]
             if dv:
                 total = total + thetas[j - 1].scale(dv)
-        pi = pi_interval(min(err, Fraction(1, 10**40)))
-        result = total / pi + Interval.point(self.upper_values[-1])
-        return CertifiedReal.from_interval(result)
+        pi = pi_interval(err)
+        return total / pi + Interval.point(self.upper_values[-1])
 
     def __repr__(self) -> str:
         return (
@@ -389,7 +387,7 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
 # -- rho0 --------------------------------------------------------------------------
 
 
-def rho0(v: SeifertMatrix, tol: Fraction = Fraction(1, 10**9)) -> CertifiedReal:
+def rho0(v: SeifertMatrix, tol: Fraction = Fraction(1, 10**9)) -> Interval:
     """The integral of the signature function over the circle of length 1,
     certified to radius <= tol."""
     tol = Fraction(tol)

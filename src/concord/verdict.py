@@ -43,6 +43,7 @@ from concord.construction import (
     SolvDegree,
     TrivialLink,
     doubling_chain,
+    operator_pattern,
     solvability_upper_bound,
     tower_decomposition,
 )
@@ -541,7 +542,7 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
         )
 
     if sharp_constant:
-        bound_atom = RhoAtom.cg("M(nine46)")
+        bound_atom = RhoAtom.cg(f"M({operator_pattern()[0].name})")
         notes.append(
             "sharp constant: the bound depends only on the doubling pattern's "
             "zero surgery, independent of depth and height"

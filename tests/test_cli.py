@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +126,8 @@ class TestDocument:
             {"op": "base", "knot": "trefoil", "opaque": True},
             {"op": "base", "knot": "mystery", "opaque": False},
             {"op": "rdouble", "parent": "trefoil", "iterations": 2},
+            # one doubling operator: naming it is an unknown field
+            {"op": "rdouble", "parent": "trefoil", "operator": "nine46"},
             {"op": "sum", "parts": ["trefoil"], "count": 2},
             # numeric fields are JSON integers: no truncation, no strings, no bools
             {"op": "multiple", "parent": "trefoil", "count": 2.9},
@@ -218,6 +222,31 @@ class TestCommands:
         p.write_text(json.dumps({"options": {option: 3}}))
         assert main(["--doc", str(p), "arf", "trefoil"]) == 1
         assert "unknown options" in capsys.readouterr().err
+
+    def test_rho0_midpoint_past_the_int_str_limit(self, tmp_path, capsys):
+        """At 1e-39 the numerator of the T(2,7) midpoint has more than the
+        4300 digits Python converts to text by default; both forms print."""
+        ent = [[-1 if j == i else int(j == i + 1) for j in range(6)] for i in range(6)]
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({"knots": {"T27": {"seifert": ent}}}))
+        tol, value = Fraction(1, 10**39), Fraction(-24, 7)
+        assert main(["--doc", str(p), "rho0", "T27", "--tol", "1e-39"]) == 0
+        shown = Fraction(capsys.readouterr().out.split(" ± ")[0])
+        assert abs(shown - value) <= tol + Fraction(1, 2 * 10**39)  # + rounding
+        assert main(["--doc", str(p), "--json", "rho0", "T27", "--tol", "1e-39"]) == 0
+        num, den = json.loads(capsys.readouterr().out)["midpoint"]
+        assert len(num) > 4300
+        assert abs(Fraction(Decimal(num)) / Fraction(Decimal(den)) - value) <= tol
+
+    def test_document_nested_past_the_json_reader(self, tmp_path, capsys):
+        depth = 1200
+        p = tmp_path / "d.json"
+        p.write_text('{"builds": {"x": ' + '{"op": "rdouble", "parent": ' * depth
+                     + '"trefoil"' + "}" * depth + "}}")
+        assert main(["--doc", str(p), "canon", "x"]) == 1
+        captured = capsys.readouterr()
+        assert "nests deeper than the JSON reader allows" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_rho0_exact_zero(self, capsys):
         assert main(["rho0", "figure8"]) == 0

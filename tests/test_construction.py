@@ -303,6 +303,3 @@ def test_memo_keys_by_value_not_spelling():
     after = derived_depth.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
     assert results[0] is results[1] is results[2]
-    first = operator_pattern()
-    assert operator_pattern("nine46") is first
-    assert operator_pattern(name="nine46") is first

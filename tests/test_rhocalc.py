@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from concord.alexmod import module_from_seifert, isotropic_submodules
-from concord.certified import CertifiedReal
+from concord.certified import Interval
 from concord.construction import (
     AssumedDepth,
     BaseKnot,
@@ -38,6 +38,11 @@ K2 = BaseKnot("K2", BaseKnot.from_catalog("figure8").seifert, frozenset())
 
 def lp(d):
     return LaurentPoly(d)
+
+
+def near(mid, rad):
+    """The enclosure of radius `rad` about `mid`."""
+    return Interval(mid - rad, mid + rad)
 
 
 def nine46_build(k1=K1, k2=K2):
@@ -75,7 +80,7 @@ class TestRhoTerm:
 
     def test_evaluate(self):
         t = RhoTerm.of_atom(RhoAtom.rho0("K1"), 2) + RhoTerm.make(1)
-        vals = {RhoAtom.rho0("K1"): CertifiedReal(Fraction(-4, 3), Fraction(1, 10**9))}
+        vals = {RhoAtom.rho0("K1"): near(Fraction(-4, 3), Fraction(1, 10**9))}
         v = t.evaluate(vals)
         assert v.contains(Fraction(-5, 3))
         assert t.evaluate({}) is None
@@ -91,8 +96,8 @@ class TestRhoTerm:
         a = RhoTerm.of_atom(RhoAtom.rho0("K1"), 2)
         b = RhoTerm.of_atom(RhoAtom.rho0("K2"), -3) + RhoTerm.make(Fraction(1, 4))
         vals = {
-            RhoAtom.rho0("K1"): CertifiedReal(Fraction(-4, 3), Fraction(1, 10**6)),
-            RhoAtom.rho0("K2"): CertifiedReal(Fraction(7, 5), Fraction(1, 10**7)),
+            RhoAtom.rho0("K1"): near(Fraction(-4, 3), Fraction(1, 10**6)),
+            RhoAtom.rho0("K2"): near(Fraction(7, 5), Fraction(1, 10**7)),
         }
         whole = (a + b).evaluate(vals)
         parts = a.evaluate(vals) + b.evaluate(vals)
@@ -268,7 +273,7 @@ class TestAxioms:
         k1 = RhoTerm.of_atom(RhoAtom.rho0("K1"))
         ok, route = provably_nonzero(k1, ax)
         assert ok and route == "axiom"
-        vals = {RhoAtom.rho0("K1"): CertifiedReal(Fraction(-4, 3), Fraction(1, 10**9))}
+        vals = {RhoAtom.rho0("K1"): near(Fraction(-4, 3), Fraction(1, 10**9))}
         ok, route = provably_nonzero(k1, Axioms(), vals)
         assert ok and route == "numeric"
         ok, route = provably_nonzero(RhoTerm.make(3), Axioms())
