@@ -1,11 +1,25 @@
-"""Free-group words and a decidable derived-series depth oracle.
+"""Free-group words and a decidable derived-series depth.
 
 Membership of w in F^(n) is decided through the recursive Magnus
 embedding: F/[N,N] embeds in (free Z[F/N]-module of rank m) x| F/N for
-N = F^(n-1), so an element of the model of F/F^(n) is a pair
-(tail, quotient) with the tail a finitely supported map from model
-elements one level down (times a generator index) to integers.  A word
-lies in F^(n) exactly when its model image at level n is the identity.
+N = F^(n-1), so the image of a word in F/F^(n) is a pair (tail,
+quotient).  The tail is the word's Fox derivative: a finitely supported
+map from (element of F/F^(n-1), generator index) to integers, where the
+letter x_g at position j adds 1 at (image of the prefix before it, g) and
+x_g^-1 adds -1 at (image of the prefix after it, g).  A word lies in
+F^(n) exactly when it lies in F^(n-1) and its level-n tail is zero.
+
+`derived_depth` runs this as one pass per level over the word's prefixes.
+At level k every prefix already carries a small integer class: two
+prefixes share a class exactly when their images in F/F^(k-1) are equal.
+The level-k image of a prefix is then (its Fox tail keyed by those
+classes, its level-(k-1) class), and interning these pairs in a dict,
+compared by equality, numbers the prefixes for level k+1.  The pass
+stops at the first level whose whole-word tail is not zero.
+
+`WreathElement` and `evaluate_in_quotient` compute the same images
+letter by letter in the nested wreath model; they are the independent
+oracle that the tests check the pass against.
 
 For free groups the rational derived series coincides with the derived
 series, which the integer (torsion-free) tails realize structurally.
@@ -13,8 +27,9 @@ series, which the integer (torsion-free) tails realize structurally.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from concord.laurent import memo
 
@@ -343,10 +358,44 @@ def _derived_depth(word: FreeWord, n_max: int) -> DepthResult:
             f"depth certification beyond {DEPTH_CAP} is out of reach; "
             f"certified lower bound {partial.value}"
         )
+    letters = word.letters
+    below = [0] * (len(letters) + 1)  # every prefix is trivial in F/F^(0)
     for k in range(1, n_max + 1):
-        if not evaluate_in_quotient(word, k).is_identity():
+        # the Fox-tail key of each letter: (class of the prefix before a
+        # positive letter or after a negative one, generator)
+        keys = [(below[j] if s == 1 else below[j + 1], g) for j, (g, s) in enumerate(letters)]
+        total: Dict[tuple, int] = {}
+        for key, (_, s) in zip(keys, letters):
+            total[key] = total.get(key, 0) + s
+        # the word is in F^(k-1), so its image in F/F^(k) is its tail alone
+        if any(total.values()):
             return DepthResult(k - 1, True)
+        if k < n_max:
+            below = _prefix_classes(keys, letters, below)
     return DepthResult(n_max, False)
+
+
+def _prefix_classes(
+    keys: List[tuple], letters: Tuple[Tuple[int, int], ...], below: List[int]
+) -> List[int]:
+    """Level-k classes of the prefixes, given their level-(k-1) classes
+    `below` and the letters' Fox-tail keys: the class of a prefix is the
+    index of the first prefix with the same (tail, below class).  A prefix
+    alone in its class below is alone above too, so its tail is not
+    interned."""
+    shared = Counter(below)
+    tail: Dict[tuple, int] = {}
+    seen = {(frozenset(), below[0]): 0}
+    out = [0]
+    for j, (key, (_, s)) in enumerate(zip(keys, letters), 1):
+        c = tail.get(key, 0) + s
+        if c:
+            tail[key] = c
+        else:
+            del tail[key]
+        b = below[j]
+        out.append(j if shared[b] == 1 else seen.setdefault((frozenset(tail.items()), b), j))
+    return out
 
 
 derived_depth.cache_info = _derived_depth.cache_info

@@ -27,6 +27,47 @@ def random_word(rng, rank, length):
     return w
 
 
+def oracle_depth(word, n_max):
+    """The depth read off the wreath model one level at a time."""
+    for k in range(1, n_max + 1):
+        if not evaluate_in_quotient(word, k).is_identity():
+            return DepthResult(k - 1, True)
+    return DepthResult(n_max, False)
+
+
+def cancelling_word(rng, rank):
+    """A random word built with cancellation: a commutator, a conjugate,
+    w w^-1 w, or a commutator of commutators."""
+    u = random_word(rng, rank, rng.randrange(1, 8))
+    v = random_word(rng, rank, rng.randrange(1, 8))
+    shape = rng.randrange(4)
+    if shape == 0:
+        return commutator(u, v)
+    if shape == 1:
+        return conjugate(u * commutator(v, u), random_word(rng, rank, rng.randrange(1, 6)))
+    if shape == 2:
+        w = commutator(u, v) * u
+        return w * w.inverse() * w
+    x = random_word(rng, rank, rng.randrange(1, 5))
+    return commutator(commutator(u, v), conjugate(commutator(v, x), u))
+
+
+def nielsen_moved(rng, word, rank, moves):
+    """The word under `moves` random Nielsen moves x_i -> x_i x_j^e or
+    x_j^e x_i; automorphisms keep the derived depth."""
+    for _ in range(moves):
+        i, j = rng.sample(range(rank), 2)
+        xj = FreeWord.generator(rank, j, rng.choice([1, -1]))
+        xi = FreeWord.generator(rank, i)
+        images = [FreeWord.generator(rank, g) for g in range(rank)]
+        images[i] = xi * xj if rng.random() < 0.5 else xj * xi
+        out = FreeWord.identity(rank)
+        for g, s in word.letters:
+            out = out * (images[g] if s == 1 else images[g].inverse())
+        word = out
+    return word
+
+
 class TestWords:
     def test_free_reduction(self):
         x, y = gen(2, 0), gen(2, 1)
@@ -122,6 +163,23 @@ class TestDepth:
             assert derived_depth(v, 4).at_least(1)
             assert derived_depth(commutator(u, v), 4).at_least(2)
 
+    def test_matches_wreath_oracle_random(self):
+        rng = random.Random(24)
+        for _ in range(1200):
+            w = cancelling_word(rng, rng.choice([2, 3, 4]))
+            n_max = rng.randint(1, 5)
+            assert derived_depth(w, n_max) == oracle_depth(w, n_max), (str(w), n_max)
+
+    def test_matches_wreath_oracle_nielsen(self):
+        rng = random.Random(25)
+        for depth, count in ((1, 40), (2, 30), (3, 12), (4, 3)):
+            base, rank = bing_curve(depth)
+            for _ in range(count):
+                w = nielsen_moved(rng, base, rank, rng.randint(1, 3 if depth < 3 else 2))
+                expected = oracle_depth(w, 5)
+                assert expected == DepthResult(depth, True)
+                assert derived_depth(w, 5) == expected, str(w)
+
     def test_cap_behaviour(self):
         with pytest.raises(ResourceCapExceeded):
             derived_depth(FreeWord.identity(2), DEPTH_CAP + 1)
@@ -140,11 +198,12 @@ class TestBingCurve:
         )
 
     def test_depths(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             w, rank = bing_curve(n)
             assert rank == 2**n
             d = derived_depth(w, n + 1)
             assert d == DepthResult(n, True)
+        assert derived_depth(bing_curve(5)[0]) == DepthResult(5, False)
 
     def test_cap(self):
         with pytest.raises(ResourceCapExceeded):
