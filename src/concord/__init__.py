@@ -74,14 +74,11 @@ from concord.construction import (
 from concord.rhocalc import (
     Axioms,
     FirstOrderSignatures,
-    MetabelianSystem,
     MissingAlexClass,
     RhoAtom,
     RhoTerm,
-    eval_kernel,
     first_order_signatures,
     provably_nonzero,
-    rho_additivity,
 )
 from concord.verdict import (
     Verdict,

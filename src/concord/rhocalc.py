@@ -8,7 +8,8 @@ opaque and only ever used inside inequalities).  Terms are rational
 linear combinations plus a rational constant; all computations with the
 worked doubling examples reduce to this atom algebra plus one additivity
 rule: an infection along a curve eta adds the infectant's rho0 exactly
-when the metabelian quotient map does not kill eta.
+when the metabelian quotient indexed by an isotropic submodule P does not
+kill eta, that is, when eta's module class lies outside P.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from concord.alexmod import (
     AlexModule,
     Submodule,
     SubmoduleLattice,
-    blanchfield_form,
     module_from_seifert,
 )
 from concord.certified import Interval
@@ -226,44 +226,9 @@ def provably_nonzero(
         num = term.evaluate(values)
         if num is not None and num.excludes_zero():
             return True, "numeric"
-    if term.constant == 0 and axioms.covers(term) and term.coeffs:
+    if term.constant == 0 and axioms.covers(term):
         return True, "axiom"
     return False, None
-
-
-# -- metabelian kernel evaluation --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetabelianSystem:
-    """A knot's module together with one isotropic submodule P; the
-    quotient it indexes kills exactly the module classes inside P."""
-
-    module: AlexModule
-    submodule: Submodule
-
-
-def eval_kernel(system: MetabelianSystem, curve: CurveSpec) -> int:
-    """0 iff the curve's class dies in the quotient indexed by P (i.e. the
-    class lies in P); 1 otherwise."""
-    if curve.alex_class is None:
-        raise MissingAlexClass(
-            f"curve {curve.label!r} carries no alex_class; supply its image in "
-            "the base knot's Alexander module to evaluate metabelian kernels"
-        )
-    lattice = SubmoduleLattice(system.module)
-    x = system.module.element(list(curve.alex_class))
-    return 0 if lattice.membership(system.submodule, x) else 1
-
-
-def rho_additivity(base_term: RhoTerm, contributions: Sequence[Tuple[int, RhoTerm]]) -> RhoTerm:
-    """base + sum of the terms whose bit is 1 (the additivity rule for
-    infections under a metabelian quotient)."""
-    out = base_term
-    for bit, term in contributions:
-        if bit:
-            out = out + term
-    return out
 
 
 # -- structural rho0 of a construction tree ------------------------------------------
@@ -336,10 +301,7 @@ def _conjugate_swapped_pair(module: AlexModule) -> bool:
     swapped by t -> 1/t (the ribbon + amphichiral vanishing pattern)."""
     if not module.is_cyclic() or module.is_zero_module():
         return False
-    try:
-        comps = module.isotypic_components()
-    except Exception:
-        return False
+    comps = module.isotypic_components()
     if len(comps) != 2:
         return False
     p, q = comps[0].order, comps[1].order
@@ -401,14 +363,22 @@ class FirstOrderSignatures:
     registry: Dict[str, BaseKnot]
     incomplete: bool = False
 
-    def pairs(self) -> List[Tuple[Submodule, RhoTerm]]:
-        return list(zip(self.submodules, self.terms))
-
     def term_strings(self) -> List[str]:
         return [str(t) for t in self.terms]
 
     def atom_values(self, tol: Fraction = Fraction(1, 10**9)) -> Dict[RhoAtom, Interval]:
         return resolve_rho0_values(self.registry, tol)
+
+
+@memo
+def _isotropy(module: AlexModule) -> Tuple[SubmoduleLattice, Tuple[Submodule, ...]]:
+    """The module's lattice and its isotropic submodules, zero first.
+
+    The lattice depends on the module alone, so it is memoized by module
+    identity, as `blanchfield_form` is: every first-order signature set
+    over one base reads one enumeration."""
+    lattice = SubmoduleLattice(module)
+    return lattice, tuple(lattice.isotropic())
 
 
 def first_order_signatures(node: Node) -> FirstOrderSignatures:
@@ -444,9 +414,7 @@ def first_order_signatures(node: Node) -> FirstOrderSignatures:
             incomplete=True,
         )
     module = module_from_seifert(base.seifert)
-    form = blanchfield_form(module)
-    lattice = SubmoduleLattice(module, form)
-    submodules = lattice.isotropic()
+    lattice, submodules = _isotropy(module)
     base_terms, notes = base_first_order_terms(base, module, submodules)
     notes = list(notes)
 
@@ -466,13 +434,13 @@ def first_order_signatures(node: Node) -> FirstOrderSignatures:
             )
         contributions.append((curve, rho0_atom_term(infectant, registry)))
 
-    terms: List[RhoTerm] = []
-    for sub, base_term in zip(submodules, base_terms):
-        bits = [
-            (eval_kernel(MetabelianSystem(module, sub), curve), term)
-            for curve, term in contributions
-        ]
-        terms.append(rho_additivity(base_term, bits))
+    # an infectant adds its term where the quotient indexed by P keeps the
+    # curve's class, that is, where the class lies outside P
+    classes = [(module.element(list(c.alex_class)), term) for c, term in contributions]
+    terms = [
+        sum((term for x, term in classes if not lattice.membership(sub, x)), base_term)
+        for sub, base_term in zip(submodules, base_terms)
+    ]
     return FirstOrderSignatures(
         base=base,
         module=module,

@@ -64,7 +64,6 @@ RULE_DOUBLING = "iterated-doubling-infinite-order"
 NOT_SLICE = "NOT_SLICE"
 NOT_SLICE_CONDITIONAL = "NOT_SLICE_CONDITIONAL"
 INCONCLUSIVE = "INCONCLUSIVE"
-SOLVABLE_UPPER_BOUND = "SOLVABLE_UPPER_BOUND"
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,10 @@ class Verdict:
 def _analyze_terms(
     fos: FirstOrderSignatures, axioms: Axioms, use_numeric: bool
 ) -> Tuple[str, Optional[NotInSet], List[str]]:
-    """Classify the first-order signature set: 'all_nonzero',
-    'conditional' (with the residual predicate), or 'has_zero'."""
+    """What the first-order signature set concludes: NOT_SLICE when every
+    term is certified nonzero, NOT_SLICE_CONDITIONAL with the residual
+    predicate when the open terms solve for one shared rho0 atom, and
+    INCONCLUSIVE when some term can vanish."""
     values = fos.atom_values() if use_numeric else {}
     notes: List[str] = []
     open_terms: List[RhoTerm] = []
@@ -203,23 +204,23 @@ def _analyze_terms(
         if ok:
             notes.append(f"term {term} nonzero via {route}")
         elif term.is_zero():
-            return "has_zero", None, ["a first-order signature is identically zero"]
+            return INCONCLUSIVE, None, ["a first-order signature is identically zero"]
         else:
             open_terms.append(term)
     if not open_terms:
-        return "all_nonzero", None, notes
+        return NOT_SLICE, None, notes
     # try to solve every open term for one shared rho0 atom
     shared = None
     for term in open_terms:
         rho0_atoms = [a for a in term.atoms() if a.kind == "rho0"]
         if len(rho0_atoms) != 1:
-            return "has_zero", None, notes + [
+            return INCONCLUSIVE, None, notes + [
                 f"term {term} not provably nonzero and not solvable for a single atom"
             ]
         if shared is None:
             shared = rho0_atoms[0]
         elif shared != rho0_atoms[0]:
-            return "has_zero", None, notes + [
+            return INCONCLUSIVE, None, notes + [
                 "open terms involve different atoms; no single residual predicate"
             ]
     excluded: List[RhoTerm] = []
@@ -231,20 +232,19 @@ def _analyze_terms(
             excluded.append(val)
     excluded.sort(key=lambda t: (len(t.coeffs), str(t)))
     cond = NotInSet(shared, tuple(excluded))
-    return "conditional", cond, notes
+    return NOT_SLICE_CONDITIONAL, cond, notes
 
 
-def _certificate_hypothesis(curve: CurveSpec, need_exact: bool) -> Hypothesis:
+def _certificate_hypothesis(curve: CurveSpec) -> Hypothesis:
     cert = curve.certificate
     exact = cert.exact_depth()
-    lower, status = cert.lower_depth()
-    if need_exact and exact is None:
+    if exact is None:
         return Hypothesis(
             f"curve {curve.label!r} at exact derived depth",
             "failed",
-            f"only a lower bound {lower} is certified",
+            f"only a lower bound {cert.lower_depth()[0]} is certified",
         )
-    depth, how = exact if exact is not None else (lower, status)
+    depth, how = exact
     if depth < 1:
         return Hypothesis(
             f"curve {curve.label!r} at derived depth >= 1",
@@ -305,42 +305,25 @@ def bing_obstruction(
     at any depth: slice (or rationally solvable 1.5 above the depth)
     forces a vanishing first-order signature."""
     fos = first_order_signatures(knot)
-    hyps: List[Hypothesis] = []
     if fos.incomplete:
-        hyps.append(
-            Hypothesis(
-                "first-order signature set complete",
-                "failed",
-                "opaque base: the submodule lattice is unavailable",
-            )
+        hyp = Hypothesis(
+            "first-order signature set complete",
+            "failed",
+            "opaque base: the submodule lattice is unavailable",
         )
-        return Verdict(
-            INCONCLUSIVE, RULE_BING, tuple(hyps),
-            fos_terms=tuple(fos.term_strings()), notes=fos.notes,
-        )
-    hyps.append(
-        Hypothesis(
+        conclusion, cond, notes = INCONCLUSIVE, None, []
+    else:
+        hyp = Hypothesis(
             "first-order signature set complete",
             "certified",
             f"{len(fos.terms)} isotropic submodules enumerated",
         )
-    )
-    status, cond, notes = _analyze_terms(fos, axioms, use_numeric)
-    notes = list(fos.notes) + notes
-    if status == "all_nonzero":
-        return Verdict(
-            NOT_SLICE, RULE_BING, tuple(hyps),
-            fos_terms=tuple(fos.term_strings()), notes=tuple(notes),
-        )
-    if status == "conditional":
-        return Verdict(
-            NOT_SLICE_CONDITIONAL, RULE_BING, tuple(hyps), condition=cond,
-            fos_terms=tuple(fos.term_strings()), notes=tuple(notes),
-        )
+        conclusion, cond, notes = _analyze_terms(fos, axioms, use_numeric)
+        if conclusion == INCONCLUSIVE:
+            notes.append("a first-order signature can vanish; no obstruction")
     return Verdict(
-        INCONCLUSIVE, RULE_BING, tuple(hyps),
-        fos_terms=tuple(fos.term_strings()),
-        notes=tuple(notes) + ("a first-order signature can vanish; no obstruction",),
+        conclusion, RULE_BING, (hyp,), condition=cond,
+        fos_terms=tuple(fos.term_strings()), notes=fos.notes + tuple(notes),
     )
 
 
@@ -367,7 +350,7 @@ def infection_obstruction(node: Node, axioms: Axioms = Axioms(),
         hyps.append(
             Hypothesis("ambient link is slice", "assumed", f"label {ambient.label!r}")
         )
-    depth_hyp = _certificate_hypothesis(curve, need_exact=True)
+    depth_hyp = _certificate_hypothesis(curve)
     hyps.append(depth_hyp)
 
     fos = first_order_signatures(infectant)
@@ -383,41 +366,21 @@ def infection_obstruction(node: Node, axioms: Axioms = Axioms(),
             )
         )
     if depth_hyp.status == "failed" or fos.incomplete:
-        return Verdict(
-            INCONCLUSIVE, rule, tuple(hyps),
-            fos_terms=tuple(fos.term_strings()), notes=fos.notes,
-        )
-
-    status, cond, notes = _analyze_terms(fos, axioms, use_numeric)
-    notes = list(fos.notes) + notes
-    if trivial:
-        if status == "all_nonzero":
-            return Verdict(
-                NOT_SLICE, rule, tuple(hyps),
-                fos_terms=tuple(fos.term_strings()), notes=tuple(notes),
+        conclusion, cond, notes = INCONCLUSIVE, None, []
+    else:
+        conclusion, cond, notes = _analyze_terms(fos, axioms, use_numeric)
+        if conclusion == INCONCLUSIVE:
+            notes.append("a first-order signature can vanish" if trivial
+                         else "a first-order signature vanishes outright")
+        elif not trivial:
+            # slice ambient: the obstruction survives only above the bound constant
+            conclusion = NOT_SLICE_CONDITIONAL
+            cond = MinAbsAtLeast(
+                f"FOS({_infectant_label(infectant)})", RhoAtom.cg(f"M({ambient.label})")
             )
-        if status == "conditional":
-            return Verdict(
-                NOT_SLICE_CONDITIONAL, rule, tuple(hyps), condition=cond,
-                fos_terms=tuple(fos.term_strings()), notes=tuple(notes),
-            )
-        return Verdict(
-            INCONCLUSIVE, rule, tuple(hyps),
-            fos_terms=tuple(fos.term_strings()),
-            notes=tuple(notes) + ("a first-order signature can vanish",),
-        )
-    # slice ambient: the obstruction survives only above the bound constant
-    if status == "has_zero":
-        return Verdict(
-            INCONCLUSIVE, rule, tuple(hyps),
-            fos_terms=tuple(fos.term_strings()),
-            notes=tuple(notes) + ("a first-order signature vanishes outright",),
-        )
-    bound = RhoAtom.cg(f"M({ambient.label})")
-    cond2 = MinAbsAtLeast(f"FOS({_infectant_label(infectant)})", bound)
     return Verdict(
-        NOT_SLICE_CONDITIONAL, rule, tuple(hyps), condition=cond2,
-        fos_terms=tuple(fos.term_strings()), notes=tuple(notes),
+        conclusion, rule, tuple(hyps), condition=cond,
+        fos_terms=tuple(fos.term_strings()), notes=fos.notes + tuple(notes),
     )
 
 
@@ -461,7 +424,7 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
             "trivial link" if trivial else f"label {ambient_label!r}",
         )
     )
-    depth_hyp = _certificate_hypothesis(curve, need_exact=True)
+    depth_hyp = _certificate_hypothesis(curve)
     hyps.append(depth_hyp)
 
     levels, terminal = doubling_chain(tower)

@@ -180,7 +180,7 @@ def test_criterion_4_first_order_signature_sets():
         # is the one contributing a single rho0
         lattice = SubmoduleLattice(fos44.module)
         x = fos44.module.element([P_EX])
-        for sub, term in fos44.pairs():
+        for sub, term in zip(fos44.submodules, fos44.terms):
             inside = (not sub.is_zero()) and lattice.membership(sub, x)
             assert str(term) == ("rho0(K1)" if inside else "2*rho0(K1)")
 

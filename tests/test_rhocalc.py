@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from concord.alexmod import module_from_seifert, isotropic_submodules
+from concord import rhocalc
+from concord.alexmod import SubmoduleLattice, isotropic_submodules, module_from_seifert
 from concord.certified import Interval
 from concord.construction import (
     AssumedDepth,
@@ -10,22 +11,21 @@ from concord.construction import (
     CurveSpec,
     Infect,
     LinkingZeroDepth,
+    RDouble,
     operator_pattern,
     rdouble_tower,
 )
 from concord.laurent import LaurentPoly
 from concord.rhocalc import (
     Axioms,
-    MetabelianSystem,
     MissingAlexClass,
     RhoAtom,
     RhoTerm,
-    eval_kernel,
     first_order_signatures,
     provably_nonzero,
     rho0_atom_term,
-    rho_additivity,
 )
+from concord.seifert import SeifertMatrix, arf
 
 NINE46 = BaseKnot.from_catalog("nine46")
 EIGHT9 = BaseKnot.from_catalog("eight9")
@@ -112,35 +112,17 @@ class TestRhoTerm:
 
 class TestKernelEval:
     def test_nine46_spec_rows(self):
+        # a curve's kernel bit is 0 exactly when its class lies in P
         base, curves = operator_pattern()
         mod = module_from_seifert(base.seifert)
-        subs = isotropic_submodules(mod)
-        alpha, beta = curves
+        lattice = SubmoduleLattice(mod)
+        subs = lattice.isotropic()
+        alpha, beta = (mod.element(list(c.alex_class)) for c in curves)
         p0 = subs[0]
-        assert eval_kernel(MetabelianSystem(mod, p0), alpha) == 1
-        assert eval_kernel(MetabelianSystem(mod, p0), beta) == 1
-        p_alpha = next(
-            s for s in subs[1:]
-            if eval_kernel(MetabelianSystem(mod, s), alpha) == 0
-        )
-        assert eval_kernel(MetabelianSystem(mod, p_alpha), beta) == 1
-
-    def test_missing_class(self):
-        mod = module_from_seifert(NINE46.seifert)
-        subs = isotropic_submodules(mod)
-        with pytest.raises(MissingAlexClass):
-            eval_kernel(
-                MetabelianSystem(mod, subs[0]),
-                CurveSpec("c", AssumedDepth(1)),
-            )
-
-    def test_additivity(self):
-        base = RhoTerm.zero()
-        k1 = RhoTerm.of_atom(RhoAtom.rho0("K1"))
-        k2 = RhoTerm.of_atom(RhoAtom.rho0("K2"))
-        out = rho_additivity(base, [(1, k1), (1, k2)])
-        assert out == k1 + k2
-        assert rho_additivity(base, [(0, k1), (0, k2)]).is_zero()
+        assert not lattice.membership(p0, alpha)
+        assert not lattice.membership(p0, beta)
+        p_alpha = next(s for s in subs[1:] if lattice.membership(s, alpha))
+        assert not lattice.membership(p_alpha, beta)
 
 
 class TestFirstOrder:
@@ -157,8 +139,6 @@ class TestFirstOrder:
         assert str(fos.terms[0]) == "rho0(K1) + rho0(K2) + rho1(nine46)"
         # the submodule containing the first curve's class drops that
         # curve's contribution, keeping the other knot's
-        from concord.alexmod import SubmoduleLattice
-
         lattice = SubmoduleLattice(fos.module)
         _, curves = operator_pattern()
         alpha_class = fos.module.element(list(curves[0].alex_class))
@@ -181,12 +161,10 @@ class TestFirstOrder:
         assert sorted(fos.term_strings()) == ["2*rho0(K1)", "2*rho0(K1)", "rho0(K1)"]
         # the single-rho0 entry is the submodule containing the second
         # curve's class; the generator curve lies in none
-        from concord.alexmod import SubmoduleLattice
-
         lattice = SubmoduleLattice(fos.module)
         p = lp({3: 1, 2: -2, 1: 1, 0: -1})
         x = fos.module.element([p])
-        for sub, term in fos.pairs():
+        for sub, term in zip(fos.submodules, fos.terms):
             inside = lattice.membership(sub, x) and not sub.is_zero()
             assert str(term) == ("rho0(K1)" if inside else "2*rho0(K1)")
 
@@ -238,6 +216,36 @@ class TestFirstOrder:
             first_order_signatures(bad)
         with pytest.raises(ConstructionError):
             first_order_signatures(ConnectedSum((K1, K2)))
+
+    def test_one_lattice_per_module(self, monkeypatch):
+        # ten distinct Arf-0 knots K: every R(K) infects the one 9_46
+        # module, whose isotropic submodules are enumerated once
+        calls = []
+        isotropic = SubmoduleLattice.isotropic
+
+        def counted(self):
+            calls.append(self.module)
+            return isotropic(self)
+
+        monkeypatch.setattr(SubmoduleLattice, "isotropic", counted)
+        rhocalc._isotropy.cache_clear()
+        knots = [BaseKnot(f"A{n}", SeifertMatrix([[0, n], [n - 1, 0]]), frozenset())
+                 for n in range(2, 12)]
+        assert all(arf(k.seifert) == 0 for k in knots)
+        sets = [first_order_signatures(RDouble(k)) for k in knots]
+        assert len({f.module for f in sets}) == 1
+        assert calls == [sets[0].module]
+        assert sorted(sets[3].term_strings()) == ["2*rho0(A5) + rho1(nine46)",
+                                                  "rho0(A5)", "rho0(A5)"]
+
+    def test_returned_lists_are_the_callers(self):
+        first = first_order_signatures(nine46_build())
+        want = list(first.submodules)
+        first.submodules.clear()
+        first.terms.clear()
+        again = first_order_signatures(nine46_build())
+        assert again.submodules == want
+        assert len(again.terms) == len(want)
 
     def test_numeric_values(self):
         fos = first_order_signatures(nine46_build())
