@@ -6,6 +6,13 @@ a midpoint and a radius where a result is reported.  The transcendental
 enclosures (pi, arccos, square roots) come from series with explicit
 remainder bounds or from integer square roots.  Floating point is never
 consulted.
+
+The arcsin series under every arccos sums on integers scaled by 2^P
+rather than on Fractions: one sum rounds every step down, one rounds
+every step up, and the tail bound is rounded up, so the two sums over
+2^P enclose the value.  P is the bit length of 1/err plus 64 guard bits,
+which keeps the rounding far below err; the loop stops on an integer test
+that the width is at most err.
 """
 
 from __future__ import annotations
@@ -153,28 +160,51 @@ def sqrt_interval(q: Fraction, err: Fraction) -> Interval:
 # -- arcsin / arccos -------------------------------------------------------------
 
 
+# Bits carried below err by the scaled arcsin sums: the rounding costs a
+# few units of 2^-P per term, so with 64 guard bits it stays some 2^-55 of
+# err and the sums stop at the term where exact partial sums would.
+_GUARD_BITS = 64
+
+
 def _asin_point_bounds(x: Fraction, err: Fraction) -> Interval:
-    """Enclosure of arcsin(x) for 0 <= x <= 3/4 via the Taylor series;
-    partial sums underestimate, tail bounded by a geometric series."""
+    """Enclosure of arcsin(x) for 0 <= x <= 3/4, of width <= err, from the
+    Taylor series sum_k C(2k,k)/4^k x^(2k+1)/(2k+1).
+
+    The series is summed on integers scaled by S = 2^P, twice: the lower
+    sum rounds every step down (x, x^2, each power, each coefficient
+    C(2k,k)/4^k and each division by 2k+1 are floor divisions), the upper
+    sum rounds every step up (ceiling divisions), so lo/S <= the partial
+    sum <= hi/S.  After term n the upper end adds the tail bound
+    sum_{k>n} x^(2k+1) = x^(2n+3)/(1-x^2), which holds because every
+    coefficient times 1/(2k+1) is at most 1; it too is rounded up.  The
+    loop stops once hi + tail - lo <= floor(err S), a test on integers, so
+    the width is at most err.  P is the bit length of 1/err plus
+    `_GUARD_BITS`."""
     if not (0 <= x <= Fraction(3, 4)):
         raise ValueError("series domain restricted to [0, 3/4]")
     if x == 0:
         return Interval.point(0)
-    total = _ZERO
-    term_coeff = Fraction(1)  # C(2n, n) / 4^n
-    xx = x * x
-    xpow = x
-    n = 0
+    p = (err.denominator // err.numerator).bit_length() + _GUARD_BITS
+    one = 1 << p
+    budget = (err.numerator << p) // err.denominator  # floor(err S)
+    a, b = x.numerator, x.denominator
+    xp_lo, xp_hi = (a << p) // b, -((-a << p) // b)      # S x^(2n+1)
+    xx_lo, xx_hi = xp_lo * xp_lo >> p, -(-xp_hi * xp_hi >> p)
+    c_lo = c_hi = one                                     # S C(2n,n)/4^n
+    lo = hi = n = 0
     while True:
-        term = term_coeff * xpow / (2 * n + 1)
-        total += term
-        # tail after n: sum_{k>n} C(2k,k)/4^k x^{2k+1}/(2k+1) <= sum x^{2k+1}
-        tail = (xpow * xx) / (1 - xx)
-        if tail <= err:
-            return Interval(total, total + tail)
+        # floor(floor(y)/d) = floor(y/d), and the same for ceilings
+        d = (2 * n + 1) << p
+        lo += c_lo * xp_lo // d
+        hi -= -c_hi * xp_hi // d
+        xp_lo = xp_lo * xx_lo >> p
+        xp_hi = -(-xp_hi * xx_hi >> p)
+        tail = -((-xp_hi << p) // (one - xx_hi))
+        if hi + tail - lo <= budget:
+            return Interval(Fraction(lo, one), Fraction(hi + tail, one))
         n += 1
-        term_coeff = term_coeff * (2 * n - 1) / (2 * n)
-        xpow *= xx
+        c_lo = c_lo * (2 * n - 1) // (2 * n)
+        c_hi = -(-c_hi * (2 * n - 1) // (2 * n))
 
 
 def _asin_interval(x: Interval, err: Fraction) -> Interval:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from concord.laurent import dense_derivative, dense_gcd, primitive, pseudo_divmod
@@ -93,21 +94,48 @@ class IsolatedRoot:
         return self.hi - self.lo
 
     def refine(self, width: Fraction) -> "IsolatedRoot":
+        """The root bisected down to width <= `width`, or exact once a
+        midpoint is the root: the same endpoints as bisecting on Fractions.
+
+        The bisection runs on integer numerators over one denominator:
+        lo and hi become l/den and h/den with den times the least 2^k that
+        takes h - l to `width` in k halvings, so every midpoint is an
+        integer over den.  A midpoint m/den is signed by the integer
+        den^deg p(m/den), as in `_scaled_value`, by Horner on the
+        coefficients scaled by powers of den once.  The sign at lo never
+        changes, since lo only moves to points of its sign."""
         if self.is_exact():
             return self
-        p = self.poly
         lo, hi = self.lo, self.hi
-        flo = _scaled_value(p, lo)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            fmid = _scaled_value(p, mid)
-            if not fmid:
-                return IsolatedRoot(self.poly, mid, mid)
-            if (flo > 0) != (fmid > 0):
-                hi = mid
+        den = lcm(lo.denominator, hi.denominator)
+        l, h = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        steps = -(-(h - l) * width.denominator // (den * width.numerator))
+        k = (steps - 1).bit_length()  # least k with 2^k >= steps
+        if not k:
+            return self
+        den, l, h = den << k, l << k, h << k
+        scaled, dk = [], 1
+        for c in reversed(self.poly):
+            scaled.append(c * dk)
+            dk *= den
+
+        def value(m: int) -> int:
+            acc = 0
+            for c in scaled:
+                acc = acc * m + c
+            return acc
+
+        lo_negative = value(l) < 0
+        for _ in range(k):
+            m = (l + h) >> 1
+            v = value(m)
+            if not v:
+                return IsolatedRoot(self.poly, Fraction(m, den), Fraction(m, den))
+            if (v < 0) == lo_negative:
+                l = m
             else:
-                lo, flo = mid, fmid
-        return IsolatedRoot(self.poly, lo, hi)
+                h = m
+        return IsolatedRoot(self.poly, Fraction(l, den), Fraction(h, den))
 
 
 def isolate_roots(p: Sequence, lo: Fraction, hi: Fraction) -> List[IsolatedRoot]:

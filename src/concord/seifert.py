@@ -26,7 +26,7 @@ from concord.certified import (
     acos_of_enclosure,
     pi_interval,
 )
-from concord.laurent import LaurentPoly
+from concord.laurent import LaurentPoly, memo
 from concord.realroots import IsolatedRoot
 
 class SeifertMatrix:
@@ -263,13 +263,14 @@ class SignatureFunction:
     numbers x = 2 cos(theta) (decreasing x = increasing theta); values are
     the constant signatures on the open arcs of (0, pi).  The lower half
     is the conjugate mirror.  The value at omega = 1 is 0.
+
+    `signature_function` memoizes one instance per matrix value and hands
+    it to every caller, so no caller may mutate `upper_jumps` or
+    `upper_values`.
     """
 
-    def __init__(self, matrix: SeifertMatrix, delta: LaurentPoly,
-                 upper_jumps: List[IsolatedRoot], upper_values: List[int]):
+    def __init__(self, upper_jumps: List[IsolatedRoot], upper_values: List[int]):
         assert len(upper_values) == len(upper_jumps) + 1
-        self.matrix = matrix
-        self.delta = delta
         self.upper_jumps = upper_jumps      # theta-increasing (x decreasing)
         self.upper_values = upper_values    # arc values on (0, pi)
         self.value_at_one = 0
@@ -280,9 +281,9 @@ class SignatureFunction:
         return 2 * len(self.upper_jumps)
 
     def full_values(self) -> List[int]:
-        """Arc values all the way around, cut at omega = 1."""
+        """Arc values all the way around, cut at omega = 1 (a new list)."""
         up = self.upper_values
-        return up + up[-2::-1] if len(up) > 1 else up
+        return up + up[-2::-1]
 
     def theta_enclosures(self, err: Fraction, width: Fraction) -> List[Interval]:
         """Certified enclosures of the jump angles in (0, pi)."""
@@ -321,30 +322,38 @@ class SignatureFunction:
 
 def _find_tau_for_gap(x_lo: Fraction, x_hi: Fraction) -> Fraction:
     """A rational tan-half-angle tau > 0 with 2(1-tau^2)/(1+tau^2) inside
-    the open x-interval (x_lo, x_hi) of (-2, 2)."""
-    def x_of(tau: Fraction) -> Fraction:
-        return 2 * (1 - tau * tau) / (1 + tau * tau)
+    the open x-interval (x_lo, x_hi) of (-2, 2): the first midpoint of a
+    bisection of (0, 2^e) on the decreasing x(tau) that lands inside.
 
-    lo, hi = Fraction(0), Fraction(1)
-    while x_of(hi) >= x_hi:            # push hi until x(hi) < x_hi
+    The bisection runs on integers: tau = m/den with den a power of two,
+    and x(m/den) - a/b has the sign of 2b(den^2 - m^2) - a(den^2 + m^2)."""
+    def above(m: int, den: int, x: Fraction) -> int:
+        d2, m2 = den * den, m * m
+        return 2 * x.denominator * (d2 - m2) - x.numerator * (d2 + m2)
+
+    lo, hi, den = 0, 1, 1
+    while above(hi, den, x_hi) >= 0:   # push hi until x(hi) < x_hi
         hi *= 2
     # invariant: x(lo) >= x_hi > x_lo... bisect on decreasing x(tau)
     for _ in range(10000):
-        mid = (lo + hi) / 2
-        xm = x_of(mid)
-        if xm >= x_hi:
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        mid = (lo + hi) >> 1
+        if above(mid, den, x_hi) >= 0:
             lo = mid
-        elif xm <= x_lo:
+        elif above(mid, den, x_lo) <= 0:
             hi = mid
         else:
-            return mid
+            return Fraction(mid, den)
     raise AssertionError("tau search failed to converge")
 
 
+@memo
 def signature_function(v: SeifertMatrix) -> SignatureFunction:
+    """The signature function of v, memoized by the matrix's entries: a
+    caller and the `rho0` it then asks for share one instance."""
     delta = alexander_poly(v)
     if delta.degree() == 0:
-        return SignatureFunction(v, delta, [], [0])
+        return SignatureFunction([], [0])
     assert delta == LaurentPoly(
         {delta.degree() - e: c for e, c in delta.items()}
     ), "Alexander polynomial of a valid Seifert matrix is palindromic"
@@ -354,7 +363,7 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
         raise AssertionError("Delta(1) = +-1 and odd determinant exclude x = +-2")
     roots = realroots.isolate_roots(g_sf, Fraction(-2), Fraction(2))
     if not roots:
-        return SignatureFunction(v, delta, [], [0])
+        return SignatureFunction([], [0])
     # refine until pairwise disjoint so arc gaps are visible
     width = Fraction(1, 16)
     while True:
@@ -381,7 +390,7 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
         values.append(signature_at(v, tau))
     assert values[0] == 0, "signature must vanish on the arc at omega = 1"
     assert all(val % 2 == 0 for val in values), "knot signatures are even"
-    return SignatureFunction(v, delta, roots_desc, values)
+    return SignatureFunction(roots_desc, values)
 
 
 # -- rho0 --------------------------------------------------------------------------

@@ -1,16 +1,24 @@
-"""Golden outputs of the first-order stage: `fos`, `verdict`,
-`verdict --sharp-constant` and `solvable`, plain and `--json`, on every
-build and knot of three documents, and `submodules` on their knots.
+"""Golden outputs of the first-order stage and of the knot commands.
+
+The first-order stage is `fos`, `verdict`, `verdict --sharp-constant` and
+`solvable`, plain and `--json`, on every build and knot of three
+documents, and `submodules` on their knots.  The knot commands are
+`rho0` (plain and `--json`, at the document's tolerance and at 1e-9,
+1e-12, 1e-20 and 1e-45), `sig`, `sig --csv`, `--json sig`, `alex` and
+`arf` on the catalog knots, on T(2,2g+1) and its mirror for g = 1..5 and
+on seeded random knots of genus 1-3.
 
     PYTHONPATH=src python3 tests/golden/make.py
 
 rewrites tests/golden/outputs.json.  The documents are the README's, the
-`DOC` of tests/test_cli.py, and `RULES_DOC` below, whose builds reach every
-(rule, conclusion) pair the verdict engine can give.  Each record keeps
-the exit code, the stdout sha256 and length, the first 2 kB of stdout and
-the whole stderr.  `tests/test_golden.py` reruns every record and
-compares; a change that means to alter an output regenerates the file and
-names the records that changed.
+`DOC` of tests/test_cli.py, `RULES_DOC` below, whose builds reach every
+(rule, conclusion) pair the verdict engine can give, and the knot
+document of `knots_document`.  Each record keeps the exit code, the
+stdout sha256 and length, the first 2 kB of stdout and the whole stderr;
+a `sig --csv` record keeps the same digest of the CSV file.
+`tests/test_golden.py` reruns every record and compares; a change that
+means to alter an output regenerates the file and names the records that
+changed.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import tempfile
 
@@ -101,21 +110,57 @@ def _readme_document() -> dict:
         return json.loads(re.findall(r"^```json\n(.*?)^```", fh.read(), re.M | re.S)[0])
 
 
-def _cli_document() -> dict:
+def _test_module(name: str):
     spec = importlib.util.spec_from_file_location(
-        "golden_test_cli", os.path.join(ROOT, "tests", "test_cli.py"))
+        f"golden_{name}", os.path.join(ROOT, "tests", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.DOC
+    return module
+
+
+def _cli_document() -> dict:
+    return _test_module("test_cli").DOC
+
+
+def knots_document() -> dict:
+    """T(2,2g+1) and its mirror for g = 1..5, and the first ten seeded
+    random knots of genus 1-3 (`random_seifert` of tests/test_seifert.py)
+    whose signature function jumps, so that `rho0` is not exact."""
+    from concord.seifert import mirror, signature_function
+
+    module = _test_module("test_seifert")
+
+    def rows(v) -> list:
+        return [list(row) for row in v.entries]
+
+    knots = {}
+    for g in range(1, 6):
+        v = module.torus_2_chain(g)
+        knots[f"T{2 * g + 1}"] = {"seifert": rows(v)}
+        knots[f"mT{2 * g + 1}"] = {"seifert": rows(mirror(v))}
+    rng = random.Random(31)
+    drawn = 0
+    while drawn < 10:
+        v = module.random_seifert(rng, 1 + drawn % 3)
+        if signature_function(v).upper_jumps:
+            drawn += 1
+            knots[f"R{drawn}"] = {"seifert": rows(v)}
+    return {"knots": knots, "options": {"tol": "1e-6"}}
 
 
 def documents() -> dict:
-    return {"readme": _readme_document(), "cli": _cli_document(), "rules": RULES_DOC}
+    return {"readme": _readme_document(), "cli": _cli_document(), "rules": RULES_DOC,
+            "knots": knots_document()}
+
+
+FIRST_ORDER_DOCS = ("readme", "cli", "rules")
+TOLERANCES = (None, "1e-9", "1e-12", "1e-20", "1e-45")
 
 
 def invocations(docs: dict):
     """(document name, argv) pairs; "DOC" in argv stands for the document's path."""
-    for name, doc in docs.items():
+    for name in FIRST_ORDER_DOCS:
+        doc = docs[name]
         knots = list(doc.get("knots", {}))
         for target in list(doc.get("builds", {})) + knots + list(CATALOG):
             for command in (["fos"], ["verdict"], ["verdict", "--sharp-constant"],
@@ -128,10 +173,30 @@ def invocations(docs: dict):
     for knot in CATALOG:
         for flags in ([], ["--json"]):
             yield None, [*flags, "submodules", knot]
+    for knot in list(docs["knots"]["knots"]) + list(CATALOG):
+        doc = ["--doc", "DOC"]
+        for tol in TOLERANCES:
+            for flags in ([], ["--json"]):
+                yield "knots", [*doc, *flags, "rho0", knot, *(["--tol", tol] if tol else [])]
+        yield "knots", [*doc, "sig", knot]
+        yield "knots", [*doc, "sig", knot, "--csv", "sig.csv"]
+        yield "knots", [*doc, "--json", "sig", knot]
+        yield "knots", [*doc, "alex", knot]
+        yield "knots", [*doc, "arf", knot]
+
+
+def _digest(prefix: str, text: str) -> dict:
+    return {
+        f"{prefix}_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        f"{prefix}_len": len(text),
+        f"{prefix}_head": text[:HEAD_CHARS],
+    }
 
 
 def run(argv) -> dict:
-    """One in-process CLI run: exit code, stdout digest and head, stderr."""
+    """One in-process CLI run: exit code, stdout digest and head, stderr,
+    and the digest of the file that `--csv` names (a relative path is
+    read from the working directory)."""
     from concord.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -140,20 +205,20 @@ def run(argv) -> dict:
             code = main(argv)
         except SystemExit as e:
             code = e.code
-    stdout = out.getvalue()
-    return {
-        "exit": code,
-        "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
-        "stdout_len": len(stdout),
-        "stdout_head": stdout[:HEAD_CHARS],
-        "stderr": err.getvalue(),
-    }
+    rec = {"exit": code, **_digest("stdout", out.getvalue()), "stderr": err.getvalue()}
+    if "--csv" in argv:
+        path = argv[argv.index("--csv") + 1]
+        with open(path) as fh:
+            rec.update(_digest("csv", fh.read()))
+        os.remove(path)
+    return rec
 
 
 def records(docs: dict, cases) -> list:
-    """Run each (document name, argv) case against the documents."""
+    """Run each (document name, argv) case against the documents, inside a
+    temporary working directory, so a CSV path in an argv is relative."""
     out = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         paths = {}
         for name, doc in docs.items():
             paths[name] = os.path.join(tmp, f"{name}.json")

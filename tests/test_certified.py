@@ -1,4 +1,6 @@
+import fractions
 import random
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -7,6 +9,7 @@ import pytest
 
 from concord.certified import (
     Interval,
+    _asin_point_bounds,
     acos_interval,
     acos_of_enclosure,
     pi_interval,
@@ -142,3 +145,72 @@ class TestAcos:
         a = acos_interval(Fraction(1, 2), Fraction(1, 10**9))
         b = acos_interval(Fraction(1, 4), Fraction(1, 10**9))
         assert iv.lo <= a.lo and b.hi <= iv.hi
+
+
+def fraction_asin(x: Fraction, err: Fraction) -> Interval:
+    """Oracle: the arcsin series summed on Fractions, from partial sum
+    to partial sum plus the tail bound x^(2n+3)/(1-x^2) <= err."""
+    if x == 0:
+        return Interval.point(0)
+    total, coeff, xx, xpow, n = Fraction(0), Fraction(1), x * x, x, 0
+    while True:
+        total += coeff * xpow / (2 * n + 1)
+        tail = xpow * xx / (1 - xx)
+        if tail <= err:
+            return Interval(total, total + tail)
+        n += 1
+        coeff = coeff * (2 * n - 1) / (2 * n)
+        xpow *= xx
+
+
+def fraction_calls(fn, *args) -> int:
+    """Calls into the `fractions` module while fn(*args) runs: Fraction
+    constructions, arithmetic and comparisons."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestAsinSeries:
+    def test_against_fraction_series_and_mpmath(self):
+        """2000 seeded (x, err): dyadic x and x of other denominators in
+        [0, 3/4], err from 1e-3 to 1e-45.  The enclosure is at most err
+        wide, holds the Fraction series' enclosure (the integer sums stop
+        at the same term and round outward) and holds arcsin(x) computed
+        to 80 digits."""
+        rng = random.Random(31)
+        slack = Fraction(1, 10**75)
+        with mpmath.workdps(80):
+            for i in range(2000):
+                if i % 2:
+                    k = rng.randrange(2, 48)
+                    x = Fraction(rng.randrange(0, 3 * 2**k // 4 + 1), 2**k)
+                else:
+                    den = rng.randrange(2, 10**rng.randrange(1, 9))
+                    x = Fraction(rng.randrange(0, 3 * den // 4 + 1), den)
+                err = Fraction(rng.randrange(1, 10), 10 ** rng.randrange(3, 46))
+                got, want = _asin_point_bounds(x, err), fraction_asin(x, err)
+                assert got.width() <= err, (x, err)
+                assert got.lo <= want.lo and want.hi <= got.hi, (x, err)
+                true = mpmath.asin(mpmath.mpf(x.numerator) / x.denominator)
+                man, exp = true.man_exp
+                approx = Fraction(man) * Fraction(2) ** exp
+                assert got.lo <= approx + slack and approx - slack <= got.hi, (x, err)
+
+    def test_work_is_independent_of_err(self):
+        """No Fraction is made or combined per term: one call does the
+        same Fraction work at err = 1e-9 and at 1e-45."""
+        x = Fraction(5, 8) - Fraction(1, 3**20)
+        loose = fraction_calls(_asin_point_bounds, x, Fraction(1, 10**9))
+        tight = fraction_calls(_asin_point_bounds, x, Fraction(1, 10**45))
+        assert loose == tight

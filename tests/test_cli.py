@@ -223,9 +223,9 @@ class TestCommands:
         assert main(["--doc", str(p), "arf", "trefoil"]) == 1
         assert "unknown options" in capsys.readouterr().err
 
-    def test_rho0_midpoint_past_the_int_str_limit(self, tmp_path, capsys):
-        """At 1e-39 the numerator of the T(2,7) midpoint has more than the
-        4300 digits Python converts to text by default; both forms print."""
+    def test_rho0_at_a_tight_tolerance(self, tmp_path, capsys):
+        """At 1e-39 the shown value and the --json midpoint of T(2,7) lie
+        within the tolerance of -24/7."""
         ent = [[-1 if j == i else int(j == i + 1) for j in range(6)] for i in range(6)]
         p = tmp_path / "d.json"
         p.write_text(json.dumps({"knots": {"T27": {"seifert": ent}}}))
@@ -235,8 +235,17 @@ class TestCommands:
         assert abs(shown - value) <= tol + Fraction(1, 2 * 10**39)  # + rounding
         assert main(["--doc", str(p), "--json", "rho0", "T27", "--tol", "1e-39"]) == 0
         num, den = json.loads(capsys.readouterr().out)["midpoint"]
-        assert len(num) > 4300
         assert abs(Fraction(Decimal(num)) / Fraction(Decimal(den)) - value) <= tol
+
+    def test_digits_past_the_int_str_limit(self):
+        """The midpoint's text comes from `_digits`, which prints integers
+        longer than the 4300 digits Python converts to text by default."""
+        from concord.cli import _digits
+
+        n = -(10**5000 + 7)
+        text = _digits(n)
+        assert len(text) == 5002 and text.startswith("-1000") and text.endswith("007")
+        assert Fraction(Decimal(text)) == n
 
     def test_document_nested_past_the_json_reader(self, tmp_path, capsys):
         depth = 1200

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 from concord.realroots import (
+    IsolatedRoot,
+    _scaled_value,
     evaluate,
     isolate_roots,
     squarefree,
@@ -56,6 +58,61 @@ def test_refinement_narrows():
     assert r.width() <= F(1, 10**12)
     assert evaluate([F(-2), F(0), F(1)], r.lo) < 0 or r.is_exact()
     assert r.lo <= F(14142135623730951, 10**16) <= r.hi
+
+
+def fraction_refine(root: IsolatedRoot, width: Fraction) -> IsolatedRoot:
+    """Oracle: bisection on Fraction midpoints."""
+    if root.is_exact():
+        return root
+    p, lo, hi = root.poly, root.lo, root.hi
+    flo = _scaled_value(p, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fmid = _scaled_value(p, mid)
+        if not fmid:
+            return IsolatedRoot(p, mid, mid)
+        if (flo > 0) != (fmid > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return IsolatedRoot(p, lo, hi)
+
+
+def test_refine_equals_fraction_bisection():
+    """Seeded squarefree polynomials, some with rational roots that a
+    dyadic bisection lands on, isolated from dyadic and from non-dyadic
+    endpoints: the integer bisection returns the same (lo, hi)."""
+    rng = random.Random(2024)
+    seen = exact = 0
+    for _ in range(150):
+        p = [rng.randrange(-9, 10) for _ in range(rng.randrange(2, 7))]
+        p[-1] = p[-1] or 1
+        for _ in range(rng.randrange(0, 3)):  # times (den x - num)
+            num, den = rng.randrange(-40, 41), rng.choice([1, 2, 4, 8, 3, 5])
+            p = [den * b - num * a for a, b in zip(p + [0], [0] + p)]
+        sf = squarefree(p)
+        if len(sf) < 2:
+            continue
+        for lo, hi in ((F(-64), F(64)), (F(-61, 3), F(67, 3))):
+            if not evaluate(sf, lo) or not evaluate(sf, hi):
+                continue
+            for root in isolate_roots(sf, lo, hi):
+                for width in (F(1, 7), F(1, 10**9), F(3, 2**50), F(1, 10**30)):
+                    got, want = root.refine(width), fraction_refine(root, width)
+                    assert (got.lo, got.hi) == (want.lo, want.hi), (sf, root, width)
+                    seen += 1
+                    exact += got.is_exact()
+    assert seen > 500 and exact > 50
+
+
+def test_refine_work_is_independent_of_width():
+    """No Fraction is made or combined per bisection step."""
+    from test_certified import fraction_calls
+
+    root = isolate_roots([-2, 0, 1], F(0), F(2))[0]
+    loose = fraction_calls(root.refine, F(1, 10**9))
+    tight = fraction_calls(root.refine, F(1, 10**45))
+    assert loose == tight
 
 
 def test_random_products_count():

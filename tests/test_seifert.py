@@ -349,6 +349,19 @@ class TestRho0:
         after = rho0(TREFOIL, Fraction(1, 10**9))
         assert (after.lo, after.hi) == (before.lo, before.hi)
 
+    def test_signature_function_is_shared_with_rho0(self):
+        """rho0 on an equal matrix reuses the memoized signature function,
+        and a warm memo gives the same enclosure as a cold one."""
+        ent = [list(row) for row in torus_2_chain(3).entries]
+        seifert.signature_function.cache_clear()
+        cold = rho0(SeifertMatrix(ent), Fraction(1, 10**12))
+        sf = signature_function(SeifertMatrix(ent, name="first"))
+        hits = signature_function.cache_info().hits
+        warm = rho0(SeifertMatrix(ent, name="second"), Fraction(1, 10**12))
+        assert signature_function.cache_info().hits == hits + 1
+        assert signature_function(SeifertMatrix(ent)) is sf
+        assert (warm.lo, warm.hi) == (cold.lo, cold.hi)
+
     def test_connected_sum_additivity(self):
         both = rho0(connected_sum(TREFOIL, TREFOIL), Fraction(1, 10**12))
         assert both.contains(Fraction(-8, 3))
