@@ -13,7 +13,9 @@ from concord.alexmod import (
     module_from_seifert,
     smith_normal_form,
 )
-from concord.laurent import LaurentPoly, exact_div, gcd, reduce_mod
+from concord.laurent import (
+    LaurentPoly, divides, divmod_laurent, exact_div, gcd, reduce_mod,
+)
 from concord.seifert import (
     SeifertMatrix, alexander_poly, connected_sum, mirror,
 )
@@ -61,6 +63,193 @@ def _sympy_det(m):
     d = DomainMatrix.from_Matrix(sympy.Matrix(rows)).convert_to(sympy.QQ[t]).det()
     return LaurentPoly({e + shift: Fraction(int(c.numerator), int(c.denominator))
                         for (e,), c in d.terms()})
+
+
+# -- the elimination the module basis was first written in ---------------------
+#
+# A document's alex_class is a coordinate vector in the decomposition basis
+# that the Smith form picks: columns of Uinv and W at the nonunit slots.  The
+# full-matrix elimination below is kept verbatim as the oracle that pins that
+# basis; the program's Smith form must reproduce its d and its kept columns.
+
+
+def _identity(n):
+    return [
+        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def reference_smith(mat):
+    """Smith normal form over Q[t,t^-1].
+
+    Returns (d, Uinv, W) with U*mat*W diagonal d (canonical, divisibility
+    chain d[i] | d[i+1]) for the unimodular U = Uinv^{-1}.
+    """
+    n = len(mat)
+    a = [row[:] for row in mat]
+    uinv, w = _identity(n), _identity(n)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+
+    def col_swap(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+            w[r][i], w[r][j] = w[r][j], w[r][i]
+
+    def row_add(i, k, f: LaurentPoly):
+        # row_i += f * row_k
+        for c in range(n):
+            a[i][c] = a[i][c] + f * a[k][c]
+        for r in range(n):
+            uinv[r][k] = uinv[r][k] - f * uinv[r][i]
+
+    def col_add(j, k, f: LaurentPoly):
+        # col_j += f * col_k
+        for r in range(n):
+            a[r][j] = a[r][j] + f * a[r][k]
+            w[r][j] = w[r][j] + f * w[r][k]
+
+    def row_scale(i, c: Fraction, s: int):
+        # row_i *= c * t^s  (a unit)
+        unit = LaurentPoly({s: c})
+        iunit = LaurentPoly({-s: 1 / c})
+        for col in range(n):
+            a[i][col] = a[i][col] * unit
+        for r in range(n):
+            uinv[r][i] = uinv[r][i] * iunit
+
+    for k in range(n):
+        # nothing left?
+        if all(a[i][j].is_zero() for i in range(k, n) for j in range(k, n)):
+            break
+        while True:
+            # move a minimal-span nonzero entry to the pivot seat
+            best = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    if not a[i][j].is_zero():
+                        s = a[i][j].span()
+                        if best is None or s < best[0]:
+                            best = (s, i, j)
+            _, bi, bj = best
+            if bi != k:
+                row_swap(k, bi)
+            if bj != k:
+                col_swap(k, bj)
+            dirty = False
+            for i in range(k + 1, n):
+                if a[i][k].is_zero():
+                    continue
+                q, r = divmod_laurent(a[i][k], a[k][k])
+                row_add(i, k, -q)
+                if not r.is_zero():
+                    dirty = True
+            for j in range(k + 1, n):
+                if a[k][j].is_zero():
+                    continue
+                q, r = divmod_laurent(a[k][j], a[k][k])
+                col_add(j, k, -q)
+                if not r.is_zero():
+                    dirty = True
+            if dirty:
+                continue
+            # pivot must divide the whole remaining block
+            offender = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    if not a[i][j].is_zero() and not divides(a[k][k], a[i][j]):
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(k, offender, LaurentPoly.one())
+        # canonicalize the pivot
+        piv = a[k][k]
+        norm = piv.normalize()
+        c, s = piv.unit_quotient_over(norm)
+        row_scale(k, 1 / c, -s)
+
+    d = [a[i][i] for i in range(n)]
+    return d, uinv, w
+
+
+def _presentation(v):
+    """tV^T - V as a matrix of Laurent polynomials."""
+    n = v.size()
+    t = LaurentPoly.t()
+    return [
+        [t.scale(v.entries[j][i]) - LaurentPoly.constant(v.entries[i][j])
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _mixed(v):
+    """P V P^T for the unimodular P = I + E_03: the same knot, with the two
+    summands of a 4x4 block sum mixed."""
+    p = [[int(i == j or (i, j) == (0, 3)) for j in range(4)] for i in range(4)]
+    return SeifertMatrix([
+        [sum(p[i][k] * v.entries[k][l] * p[j][l] for k in range(4) for l in range(4))
+         for j in range(4)]
+        for i in range(4)
+    ])
+
+
+RANK2_SUMS = [
+    connected_sum(TREFOIL, TREFOIL), connected_sum(FIG8, FIG8),
+    connected_sum(TREFOIL, mirror(TREFOIL)), connected_sum(NINE46, mirror(NINE46)),
+]
+
+
+def _kept_columns(m):
+    """(d, kept Uinv columns, kept W columns) of the program's Smith form,
+    at the nonunit slots the module keeps."""
+    d, uinv, w = smith_normal_form(m)
+    keep = [i for i, di in enumerate(d) if di.is_zero() or di.degree() > 0]
+    n = len(m)
+    return (d, [[uinv[r][i] for r in range(n)] for i in keep],
+            [[w[r][i] for r in range(n)] for i in keep])
+
+
+def _reference_kept(m):
+    d, uinv, w = reference_smith(m)
+    keep = [i for i, di in enumerate(d) if di.is_zero() or di.degree() > 0]
+    n = len(m)
+    return (d, [[uinv[r][i] for r in range(n)] for i in keep],
+            [[w[r][i] for r in range(n)] for i in keep])
+
+
+class TestSmithBasis:
+    """The decomposition basis is pinned: the invariant factors and the kept
+    columns of Uinv and W equal the reference elimination's."""
+
+    def _check(self, v):
+        m = _presentation(v)
+        assert _kept_columns(m) == _reference_kept(m), v.entries
+
+    def test_catalog(self):
+        for name in catalog.BUILTIN:
+            self._check(catalog.get(name)[0])
+
+    def test_rank2_sums_and_mixes(self):
+        for v in RANK2_SUMS + [connected_sum(TREFOIL, FIG8)]:
+            self._check(v)
+            self._check(_mixed(v))
+
+    def test_random_1000(self):
+        rng = random.Random(2032)
+        genera = set()
+        for _ in range(1000):
+            genus = rng.choice([1, 1, 1, 2, 2, 3, 4])
+            genera.add(genus)
+            self._check(random_seifert(rng, genus))
+        assert genera == {1, 2, 3, 4}
 
 
 class TestSmith:
@@ -219,15 +408,8 @@ class TestBlanchfield:
         # plain sums pair their summands orthogonally; the congruent P V P^T
         # (the same knot, P = I + E_03 unimodular) mixes them, which makes
         # the off-diagonal entries nonzero and the gram no longer symmetric
-        for v in [connected_sum(TREFOIL, TREFOIL), connected_sum(FIG8, FIG8),
-                  connected_sum(TREFOIL, mirror(TREFOIL)),
-                  connected_sum(NINE46, mirror(NINE46))]:
-            p = [[int(i == j or (i, j) == (0, 3)) for j in range(4)] for i in range(4)]
-            mixed = SeifertMatrix([
-                [sum(p[i][k] * v.entries[k][l] * p[j][l] for k in range(4) for l in range(4))
-                 for j in range(4)]
-                for i in range(4)
-            ])
+        for v in RANK2_SUMS:
+            mixed = _mixed(v)
             assert check(v).rank() == 2
             assert check(mixed).rank() == 2
             gram = BlanchfieldForm(module_from_seifert(mixed)).gram
