@@ -40,6 +40,7 @@ from concord.alexmod import (
     blanchfield_form,
     isotropic_submodules,
     module_from_seifert,
+    replay_columns,
     smith_normal_form,
 )
 from concord.freegroup import (

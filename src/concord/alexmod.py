@@ -15,17 +15,29 @@ and basis vector i is column k_i of U^{-1}, so each gram entry is one
 reduction in Q(t)/Q[t,t^-1] over the invariant factor d_{k_i}, with no
 arithmetic in Q(t).  Any fixed unit change would preserve isotropy,
 orthogonality and nonsingularity, which is all the verdict layer consumes.
+
+The elimination records its elementary operations instead of updating
+U^{-1} and W: the module reads only the columns at its nonunit slots
+(one on the supported class), and `replay_columns` builds just those.
+The pivot choices fix the decomposition basis in which a document's
+alex_class is written, so they are part of the interface.
+
+The isotropic submodules are read from the factorization: the pairing
+joins the p-primary part only to the conj(p)-primary part and is
+nonsingular (Levine, "Knot modules I", 1977), so they are the choices of
+none, p or conj(p) from each conjugate pair of components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from concord.laurent import (
     LaurentPoly,
     RationalFunctionModPoly,
+    conjugate_normalized,
     divides,
     divmod_laurent,
     exact_div,
@@ -46,54 +58,61 @@ class UnsupportedModule(Exception):
 PolyMatrix = List[List[LaurentPoly]]
 
 
-def _identity(n: int) -> PolyMatrix:
-    return [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
+# An elementary operation of the elimination, stored in the form its replay
+# applies to one column v of Uinv (row operations) or of W (column
+# operations), replayed last to first:
+#   (_ADD, i, j, f)    v[i] += f * v[j]
+#   (_SWAP, i, j)      v[i], v[j] = v[j], v[i]
+#   (_SCALE, i, u)     v[i] *= u
+_ADD, _SWAP, _SCALE = range(3)
+SmithOps = List[tuple]
+
+_MINUS_ONE = LaurentPoly({0: -1})
 
 
-def smith_normal_form(mat: PolyMatrix):
+def smith_normal_form(mat: PolyMatrix) -> Tuple[List[LaurentPoly], SmithOps, SmithOps]:
     """Smith normal form over Q[t,t^-1].
 
-    Returns (d, Uinv, W) with U*mat*W diagonal d (canonical, divisibility
-    chain d[i] | d[i+1]) for the unimodular U = Uinv^{-1}.
+    Returns (d, row_ops, col_ops): U*mat*W is diagonal d (canonical,
+    divisibility chain d[i] | d[i+1]) for unimodular U and W, and the two
+    records hold the elementary operations that built U and W.  The
+    transforms themselves are not formed; `replay_columns(row_ops, n, cols)`
+    gives the chosen columns of Uinv = U^{-1}, and
+    `replay_columns(col_ops, n, cols)` those of W.
     """
     n = len(mat)
     a = [row[:] for row in mat]
-    uinv, w = _identity(n), _identity(n)
+    row_ops: SmithOps = []
+    col_ops: SmithOps = []
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+        row_ops.append((_SWAP, i, j))
 
     def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-            w[r][i], w[r][j] = w[r][j], w[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        col_ops.append((_SWAP, i, j))
 
-    def row_add(i, k, f: LaurentPoly):
-        # row_i += f * row_k
+    def row_sub(i, k, q: LaurentPoly, r: LaurentPoly):
+        # row_i -= q * row_k, whose entry in column k is the remainder r;
+        # on Uinv, column k += q * column i, which a column replays (right
+        # to left) as v_i += q * v_k
+        ai, ak = a[i], a[k]
         for c in range(n):
-            a[i][c] = a[i][c] + f * a[k][c]
-        for r in range(n):
-            uinv[r][k] = uinv[r][k] - f * uinv[r][i]
+            if c != k and ak[c]:
+                ai[c] = ai[c] - q * ak[c]
+        ai[k] = r
+        row_ops.append((_ADD, i, k, q))
 
-    def col_add(j, k, f: LaurentPoly):
-        # col_j += f * col_k
-        for r in range(n):
-            a[r][j] = a[r][j] + f * a[r][k]
-            w[r][j] = w[r][j] + f * w[r][k]
-
-    def row_scale(i, c: Fraction, s: int):
-        # row_i *= c * t^s  (a unit)
-        unit = LaurentPoly({s: c})
-        iunit = LaurentPoly({-s: 1 / c})
-        for col in range(n):
-            a[i][col] = a[i][col] * unit
-        for r in range(n):
-            uinv[r][i] = uinv[r][i] * iunit
+    def col_sub(j, k, q: LaurentPoly, r: LaurentPoly):
+        # col_j -= q * col_k, whose entry in row k is the remainder r; on W
+        # the same, replayed as v_k -= q * v_j
+        for i, row in enumerate(a):
+            if i != k and row[k]:
+                row[j] = row[j] - q * row[k]
+        a[k][j] = r
+        col_ops.append((_ADD, k, j, -q))
 
     for k in range(n):
         # nothing left?
@@ -108,7 +127,7 @@ def smith_normal_form(mat: PolyMatrix):
                         s = a[i][j].span()
                         if best is None or s < best[0]:
                             best = (s, i, j)
-            _, bi, bj = best
+            span, bi, bj = best
             if bi != k:
                 row_swap(k, bi)
             if bj != k:
@@ -118,19 +137,21 @@ def smith_normal_form(mat: PolyMatrix):
                 if a[i][k].is_zero():
                     continue
                 q, r = divmod_laurent(a[i][k], a[k][k])
-                row_add(i, k, -q)
+                row_sub(i, k, q, r)
                 if not r.is_zero():
                     dirty = True
             for j in range(k + 1, n):
                 if a[k][j].is_zero():
                     continue
                 q, r = divmod_laurent(a[k][j], a[k][k])
-                col_add(j, k, -q)
+                col_sub(j, k, q, r)
                 if not r.is_zero():
                     dirty = True
             if dirty:
                 continue
-            # pivot must divide the whole remaining block
+            # pivot must divide the whole remaining block; a unit does
+            if span == 0:
+                break
             offender = None
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
@@ -141,15 +162,47 @@ def smith_normal_form(mat: PolyMatrix):
                     break
             if offender is None:
                 break
-            row_add(k, offender, LaurentPoly.one())
-        # canonicalize the pivot
+            # row_k += row_offender, replayed as v_k -= v_offender
+            ak, ao = a[k], a[offender]
+            for c in range(n):
+                if ao[c]:
+                    ak[c] = ak[c] + ao[c]
+            row_ops.append((_ADD, k, offender, _MINUS_ONE))
+        # canonicalize the pivot: row_k *= c^-1 t^-s, so Uinv's column k
+        # is multiplied by c t^s
         piv = a[k][k]
-        norm = piv.normalize()
-        c, s = piv.unit_quotient_over(norm)
-        row_scale(k, 1 / c, -s)
+        c, s = piv.unit_quotient_over(piv.normalize())
+        if c != 1 or s != 0:
+            a[k][k] = piv * LaurentPoly({-s: 1 / c})
+            row_ops.append((_SCALE, k, LaurentPoly({s: c})))
 
     d = [a[i][i] for i in range(n)]
-    return d, uinv, w
+    return d, row_ops, col_ops
+
+
+def replay_columns(ops: SmithOps, n: int, cols: Sequence[int]) -> PolyMatrix:
+    """Columns `cols` of the n x n transform recorded in `ops` (Uinv from
+    `row_ops`, W from `col_ops`), each as a list of n entries.
+
+    A column is the identity column pushed through the operations last to
+    first, so it costs one entry update per operation rather than n."""
+    out = []
+    for col in cols:
+        v = [LaurentPoly.zero()] * n
+        v[col] = LaurentPoly.one()
+        for op in reversed(ops):
+            if op[0] == _ADD:
+                _, i, j, f = op
+                if v[j]:
+                    v[i] = v[i] + f * v[j]
+            elif op[0] == _SWAP:
+                _, i, j = op
+                v[i], v[j] = v[j], v[i]
+            else:
+                _, i, u = op
+                v[i] = v[i] * u
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -308,22 +361,19 @@ def module_from_seifert(v: SeifertMatrix) -> AlexModule:
 
     n = v.size()
     delta = alexander_poly(v)
-    t = LaurentPoly.t()
-    pres = [
-        [t.scale(v.entries[j][i]) - LaurentPoly.constant(v.entries[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
     if n == 0:
         return AlexModule(v, delta, [], [], [])
-    d, uinv, w = smith_normal_form(pres)
+    e = v.entries
+    pres = [[LaurentPoly.from_coeffs((-e[i][j], e[j][i])) for j in range(n)]
+            for i in range(n)]
+    d, row_ops, col_ops = smith_normal_form(pres)
     keep = [i for i, di in enumerate(d) if di.is_zero() or di.degree() > 0]
     for i in keep:
         if d[i].is_zero():
             raise AssertionError("Alexander module must be torsion (Delta(1)=+-1)")
     orders = [d[i] for i in keep]
-    dec_to_pres = [[uinv[r][i] for r in range(n)] for i in keep]
-    dual = [[w[r][i] for r in range(n)] for i in keep]
-    mod = AlexModule(v, delta, orders, dec_to_pres, dual)
+    mod = AlexModule(v, delta, orders, replay_columns(row_ops, n, keep),
+                     replay_columns(col_ops, n, keep))
     total = mod.total_order()
     if not total.eq_up_to_units(delta):
         raise AssertionError("product of cyclic orders must match Delta")
@@ -398,35 +448,33 @@ class Submodule:
 
 
 class SubmoduleLattice:
-    """Helper binding a module + form to its enumerated submodules."""
+    """A module's isotypic components and the submodules they span."""
 
-    def __init__(self, module: AlexModule, form: Optional[BlanchfieldForm] = None):
+    def __init__(self, module: AlexModule):
         self.module = module
-        self.form = form or blanchfield_form(module)
         self.components = module.isotypic_components()
 
-    def submodule_from_components(self, comps: Sequence[IsotypicComponent]) -> Submodule:
-        comps = sorted(comps, key=lambda c: c.key())
-        return Submodule(
-            tuple(c.key() for c in comps), tuple(c.generator for c in comps)
-        )
-
     def isotropic(self) -> List[Submodule]:
-        n = len(self.components)
-        pair_zero = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                val = self.form.pairing(
-                    self.components[i].generator, self.components[j].generator
-                )
-                pair_zero[i][j] = val.is_zero()
+        """All submodules P with P inside P-perp, ordered by size, then by
+        component keys; the zero submodule comes first.
+
+        The Blanchfield form pairs the p-primary part only with the
+        conj(p)-primary part, and it is nonsingular (Levine, "Knot modules
+        I", 1977).  So a self-conjugate component lies in no isotropic
+        submodule, a component with conj(p) != p pairs nontrivially only
+        with its partner, and the isotropic submodules are the choices of
+        none, p or conj(p) from each conjugate pair."""
+        keyed = {c.order: (c.key(), c.generator) for c in self.components}
+        choices = []
+        for p, (key, gen) in keyed.items():
+            partner = keyed.get(conjugate_normalized(p))
+            assert partner is not None, "Delta is symmetric: conj(p) divides it"
+            if key < partner[0]:
+                choices.append(((), ((key, gen),), (partner,)))
         out = []
-        for mask in range(1 << n):
-            idx = [i for i in range(n) if mask >> i & 1]
-            if all(pair_zero[i][j] for i in idx for j in idx):
-                out.append(
-                    self.submodule_from_components([self.components[i] for i in idx])
-                )
+        for pick in product(*choices):
+            chosen = sorted(kg for part in pick for kg in part)
+            out.append(Submodule(tuple(k for k, _ in chosen), tuple(g for _, g in chosen)))
         out.sort(key=lambda s: (len(s.component_keys), s.component_keys))
         return out
 
@@ -440,10 +488,23 @@ class SubmoduleLattice:
         return True
 
 
+@memo
+def isotropy(module: AlexModule) -> Tuple[SubmoduleLattice, Tuple[Submodule, ...]]:
+    """The module's lattice and its isotropic submodules, zero first.
+
+    Memoized by module identity, as `blanchfield_form` is: every caller
+    (first-order signatures, the `submodules` command) reads one
+    enumeration per module."""
+    lattice = SubmoduleLattice(module)
+    return lattice, tuple(lattice.isotropic())
+
+
 def isotropic_submodules(module: AlexModule, form: Optional[BlanchfieldForm] = None) -> List[Submodule]:
     """All submodules P with P inside P-perp, zero submodule first.
 
     Supported exactly when the total order is squarefree (all paper-scale
-    cases); other inputs raise UnsupportedModule.
+    cases); other inputs raise UnsupportedModule.  The list is read from
+    the factorization of the module, so a caller's `form` is not needed
+    to compute it.
     """
-    return SubmoduleLattice(module, form).isotropic()
+    return list(isotropy(module)[1])

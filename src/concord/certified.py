@@ -31,7 +31,10 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         self.lo, self.hi = lo, hi

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from concord.alexmod import (
-    SubmoduleLattice,
     UnsupportedModule,
+    isotropy,
     module_from_seifert,
 )
 from concord.construction import (
@@ -206,8 +206,7 @@ def _submodule_name(sub, comps) -> str:
 def cmd_submodules(args, doc: InputDocument) -> int:
     v = _seifert_of(doc, args.knot)
     mod = module_from_seifert(v)
-    lattice = SubmoduleLattice(mod)
-    subs = lattice.isotropic()
+    _, subs = isotropy(mod)
     comps = mod.isotypic_components()
     lines = [f"isotropic submodules of the Alexander module of {args.knot}:"]
     lines.append("  submodule | generators | dim_Q")

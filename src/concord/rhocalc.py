@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from concord.alexmod import (
     AlexModule,
     Submodule,
-    SubmoduleLattice,
+    isotropy,
     module_from_seifert,
 )
 from concord.certified import Interval
@@ -370,17 +370,6 @@ class FirstOrderSignatures:
         return resolve_rho0_values(self.registry, tol)
 
 
-@memo
-def _isotropy(module: AlexModule) -> Tuple[SubmoduleLattice, Tuple[Submodule, ...]]:
-    """The module's lattice and its isotropic submodules, zero first.
-
-    The lattice depends on the module alone, so it is memoized by module
-    identity, as `blanchfield_form` is: every first-order signature set
-    over one base reads one enumeration."""
-    lattice = SubmoduleLattice(module)
-    return lattice, tuple(lattice.isotropic())
-
-
 def first_order_signatures(node: Node) -> FirstOrderSignatures:
     """First-order signature set of a base knot or a single infection over
     one.
@@ -414,7 +403,7 @@ def first_order_signatures(node: Node) -> FirstOrderSignatures:
             incomplete=True,
         )
     module = module_from_seifert(base.seifert)
-    lattice, submodules = _isotropy(module)
+    lattice, submodules = isotropy(module)
     base_terms, notes = base_first_order_terms(base, module, submodules)
     notes = list(notes)
 

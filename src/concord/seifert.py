@@ -132,8 +132,10 @@ def connected_sum(v1: SeifertMatrix, v2: SeifertMatrix) -> SeifertMatrix:
     return SeifertMatrix(ent, name=name)
 
 
+@memo
 def alexander_poly(v: SeifertMatrix) -> LaurentPoly:
-    """normalize(det(tV - V^T)); satisfies Delta(1) = +-1.
+    """normalize(det(tV - V^T)); satisfies Delta(1) = +-1.  Memoized by the
+    matrix's entries, so the module built next from the same matrix reuses it.
 
     The determinant has degree <= n in t, so it is read off its integer
     values at t = 0..n by Newton interpolation; the divided differences of
@@ -364,15 +366,15 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     roots = realroots.isolate_roots(g_sf, Fraction(-2), Fraction(2))
     if not roots:
         return SignatureFunction([], [0])
-    # refine until pairwise disjoint so arc gaps are visible
-    width = Fraction(1, 16)
-    while True:
-        refined = [r.refine(width) for r in roots]
-        ok = all(refined[i].hi < refined[i + 1].lo for i in range(len(refined) - 1))
-        if ok:
+    # refine until pairwise disjoint so arc gaps are visible: widths 1/16,
+    # 1/64, ...; a refinement that stops separating the roots is a fault
+    for step in range(10000):
+        refined = [r.refine(Fraction(1, 16 << 2 * step)) for r in roots]
+        if all(refined[i].hi < refined[i + 1].lo for i in range(len(refined) - 1)):
             roots = refined
             break
-        width /= 4
+    else:
+        raise AssertionError("root refinement failed to separate the roots")
     # theta-increasing order = x-decreasing
     roots_desc = list(reversed(roots))
     bounds: List[Fraction] = [Fraction(2)]

@@ -6,11 +6,13 @@ import pytest
 from concord import catalog
 from concord.alexmod import (
     BlanchfieldForm,
+    Submodule,
     SubmoduleLattice,
     UnsupportedModule,
     blanchfield_form,
     isotropic_submodules,
     module_from_seifert,
+    replay_columns,
     smith_normal_form,
 )
 from concord.laurent import (
@@ -210,11 +212,10 @@ RANK2_SUMS = [
 def _kept_columns(m):
     """(d, kept Uinv columns, kept W columns) of the program's Smith form,
     at the nonunit slots the module keeps."""
-    d, uinv, w = smith_normal_form(m)
+    d, row_ops, col_ops = smith_normal_form(m)
     keep = [i for i, di in enumerate(d) if di.is_zero() or di.degree() > 0]
     n = len(m)
-    return (d, [[uinv[r][i] for r in range(n)] for i in keep],
-            [[w[r][i] for r in range(n)] for i in keep])
+    return d, replay_columns(row_ops, n, keep), replay_columns(col_ops, n, keep)
 
 
 def _reference_kept(m):
@@ -258,13 +259,11 @@ class TestSmith:
         for _ in range(25):
             v = random_seifert(rng, rng.choice([1, 2]))
             n = v.size()
-            t = LaurentPoly.t()
-            m = [
-                [t.scale(v.entries[j][i]) - LaurentPoly.constant(v.entries[i][j])
-                 for j in range(n)]
-                for i in range(n)
-            ]
-            d, uinv, w = smith_normal_form(m)
+            m = _presentation(v)
+            d, row_ops, col_ops = smith_normal_form(m)
+            # every column replayed: the full transforms, as rows of matrices
+            uinv = [list(r) for r in zip(*replay_columns(row_ops, n, range(n)))]
+            w = [list(r) for r in zip(*replay_columns(col_ops, n, range(n)))]
             # U m W = diag(d) with U = Uinv^{-1}, i.e. m W = Uinv diag(d)
             diag = [[d[i] if i == j else LaurentPoly.zero() for j in range(n)]
                     for i in range(n)]
@@ -424,6 +423,36 @@ class TestBlanchfield:
         assert form.pairing(mod.scale(d, g), g).is_zero()
 
 
+def brute_force_isotropic(module):
+    """The lattice oracle: every subset of isotypic components whose
+    generators pair to zero with each other, by the n^2 Blanchfield
+    pairings and a loop over all 2^n subsets, in the program's order."""
+    lattice = SubmoduleLattice(module)
+    form = BlanchfieldForm(module)
+    comps = lattice.components
+    n = len(comps)
+    pair_zero = [[form.pairing(comps[i].generator, comps[j].generator).is_zero()
+                  for j in range(n)] for i in range(n)]
+    out = []
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        if all(pair_zero[i][j] for i in idx for j in idx):
+            chosen = sorted((comps[i] for i in idx), key=lambda c: c.key())
+            out.append(Submodule(tuple(c.key() for c in chosen),
+                                 tuple(c.generator for c in chosen)))
+    out.sort(key=lambda s: (len(s.component_keys), s.component_keys))
+    return out
+
+
+def _block_sum(k):
+    """Block sum of [[0, m+1], [m, 0]] for m = 1..k: Delta is the product of
+    the (m t - (m+1)) ((m+1) t - m), 2k components in k conjugate pairs."""
+    ent = [[0] * (2 * k) for _ in range(2 * k)]
+    for m in range(1, k + 1):
+        ent[2 * m - 2][2 * m - 1], ent[2 * m - 1][2 * m - 2] = m + 1, m
+    return SeifertMatrix(ent)
+
+
 class TestIsotropic:
     def test_nine46_three(self):
         mod = module_from_seifert(NINE46)
@@ -453,7 +482,7 @@ class TestIsotropic:
         for v in [NINE46, EIGHT9, TREFOIL, FIG8]:
             mod = module_from_seifert(v)
             form = BlanchfieldForm(mod)
-            lat = SubmoduleLattice(mod, form)
+            lat = SubmoduleLattice(mod)
             comps = mod.isotypic_components()
             d = mod.orders[0]
             g = mod.generator(0)
@@ -472,6 +501,41 @@ class TestIsotropic:
                     brute.add(keys)
             enumerated = {s.component_keys for s in lat.isotropic()}
             assert brute == enumerated
+
+    def test_brute_force_lattice_oracle_random(self):
+        rng = random.Random(1977)
+        checked, genera = 0, set()
+        while checked < 1000:
+            genus = rng.choice([1, 1, 1, 2, 2, 3, 4])
+            mod = module_from_seifert(random_seifert(rng, genus))
+            try:
+                want = brute_force_isotropic(mod)
+            except UnsupportedModule:
+                with pytest.raises(UnsupportedModule):
+                    isotropic_submodules(mod)
+                continue
+            assert isotropic_submodules(mod) == want
+            checked += 1
+            genera.add(genus)
+        assert genera == {1, 2, 3, 4}
+
+    def test_brute_force_lattice_oracle_block_sums(self):
+        for k in range(1, 9):
+            mod = module_from_seifert(_block_sum(k))
+            subs = isotropic_submodules(mod)
+            assert len(mod.isotypic_components()) == 2 * k
+            assert len(subs) == 3 ** k
+            assert subs == brute_force_isotropic(mod)
+
+    def test_no_pairing_needed(self, monkeypatch):
+        # the list is read from the conjugate pairs alone
+        def refuse(*_):
+            raise AssertionError("isotropy must not evaluate the pairing")
+
+        monkeypatch.setattr(BlanchfieldForm, "pairing", refuse)
+        monkeypatch.setattr(BlanchfieldForm, "__init__", refuse)
+        mod = module_from_seifert(_block_sum(8))
+        assert len(SubmoduleLattice(mod).isotropic()) == 3 ** 8
 
     def test_membership(self):
         mod = module_from_seifert(EIGHT9)

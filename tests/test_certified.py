@@ -32,6 +32,15 @@ class TestInterval:
         assert (a - b).lo == -2 and (a - b).hi == 3
         assert (a / Interval(2, 4)).lo == Fraction(1, 4)
 
+    def test_endpoints_made_fractions_once(self):
+        lo, hi = Fraction(1, 3), Fraction(1, 2)
+        iv = Interval(lo, hi)
+        assert iv.lo is lo and iv.hi is hi
+        iv = Interval(1, Fraction(3, 2))
+        assert type(iv.lo) is Fraction and iv.lo == 1 and iv.hi == Fraction(3, 2)
+        with pytest.raises(ValueError):
+            Interval(hi, lo)
+
     def test_div_by_zero_interval(self):
         with pytest.raises(ZeroDivisionError):
             Interval(1, 2) / Interval(-1, 1)
