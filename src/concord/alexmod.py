@@ -464,13 +464,14 @@ class SubmoduleLattice:
         submodule, a component with conj(p) != p pairs nontrivially only
         with its partner, and the isotropic submodules are the choices of
         none, p or conj(p) from each conjugate pair."""
-        keyed = {c.order: (c.key(), c.generator) for c in self.components}
+        keyed = [(c.order, (c.key(), c.generator)) for c in self.components]
         choices = []
-        for p, (key, gen) in keyed.items():
-            partner = keyed.get(conjugate_normalized(p))
+        for p, kg in keyed:
+            bar = conjugate_normalized(p)
+            partner = next((other for q, other in keyed if q == bar), None)
             assert partner is not None, "Delta is symmetric: conj(p) divides it"
-            if key < partner[0]:
-                choices.append(((), ((key, gen),), (partner,)))
+            if kg[0] < partner[0]:
+                choices.append(((), (kg,), (partner,)))
         out = []
         for pick in product(*choices):
             chosen = sorted(kg for part in pick for kg in part)
