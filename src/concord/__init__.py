@@ -42,6 +42,7 @@ from concord.alexmod import (
     module_from_seifert,
     replay_columns,
     smith_normal_form,
+    support,
 )
 from concord.freegroup import (
     DepthResult,

@@ -26,13 +26,23 @@ The isotropic submodules are read from the factorization: the pairing
 joins the p-primary part only to the conj(p)-primary part and is
 nonsingular (Levine, "Knot modules I", 1977), so they are the choices of
 none, p or conj(p) from each conjugate pair of components.
+
+The same fact makes every other question the program asks of the form a
+question about supports.  `support(module, x)` is the set of components on
+which x projects to nonzero.  A class lies in a submodule spanned by
+components exactly when its support does, and a set of classes pairs to
+nonzero exactly when its joint support holds some component together with
+its conjugate partner (`conjugate_keys`), the component itself when it is
+self-conjugate.  No command evaluates `BlanchfieldForm`: its gram stays as
+the oracle that the tests and the benchmark check supports against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from concord.laurent import (
     LaurentPoly,
@@ -464,14 +474,10 @@ class SubmoduleLattice:
         submodule, a component with conj(p) != p pairs nontrivially only
         with its partner, and the isotropic submodules are the choices of
         none, p or conj(p) from each conjugate pair."""
-        keyed = [(c.order, (c.key(), c.generator)) for c in self.components]
-        choices = []
-        for p, kg in keyed:
-            bar = conjugate_normalized(p)
-            partner = next((other for q, other in keyed if q == bar), None)
-            assert partner is not None, "Delta is symmetric: conj(p) divides it"
-            if kg[0] < partner[0]:
-                choices.append(((), (kg,), (partner,)))
+        partner = conjugate_keys(self.module)
+        gens = {c.key(): c.generator for c in self.components}
+        choices = [((), ((k, gens[k]),), ((bar, gens[bar]),))
+                   for k, bar in partner.items() if k < bar]
         out = []
         for pick in product(*choices):
             chosen = sorted(kg for part in pick for kg in part)
@@ -480,13 +486,34 @@ class SubmoduleLattice:
         return out
 
     def membership(self, p: Submodule, x: ModElement) -> bool:
-        keys = set(p.component_keys)
-        for comp in self.components:
-            if comp.key() in keys:
-                continue
-            if not self.module.project(x, comp).is_zero():
-                return False
-        return True
+        return support(self.module, x).issubset(p.component_keys)
+
+
+@memo
+def support(module: AlexModule, x: ModElement) -> frozenset:
+    """The keys of the isotypic components on which x projects to nonzero
+    (empty for the zero class); requires a squarefree total order.
+
+    Memoized by module identity and the value of x: a curve class asked
+    about by every query on a tower is projected once."""
+    return frozenset(c.key() for c in module.isotypic_components()
+                     if not module.project(x, c).is_zero())
+
+
+@memo
+def conjugate_keys(module: AlexModule) -> Mapping[tuple, tuple]:
+    """Each isotypic component's key mapped to the key of its conjugate
+    partner, the component of order conj(p); a self-conjugate component
+    maps to itself.  Memoized by module identity, and read-only, since
+    every caller shares it."""
+    comps = module.isotypic_components()
+    by_order = {c.order: c.key() for c in comps}
+    out = {}
+    for c in comps:
+        partner = by_order.get(conjugate_normalized(c.order))
+        assert partner is not None, "Delta is symmetric: conj(p) divides it"
+        out[c.key()] = partner
+    return MappingProxyType(out)
 
 
 @memo

@@ -196,11 +196,12 @@ def cmd_arf(args, doc: InputDocument) -> int:
     return EXIT_OK
 
 
-def _submodule_name(sub, comps) -> str:
-    if sub.is_zero():
+def _submodule_name(at: List[int]) -> str:
+    """<alpha,...> of the submodule spanned by the isotypic components at
+    positions `at`; "0" when there are none."""
+    if not at:
         return "0"
-    idx = [i for i, c in enumerate(comps) if c.key() in set(sub.component_keys)]
-    return "<" + ",".join(GREEK[i] if i < len(GREEK) else f"g{i}" for i in idx) + ">"
+    return "<" + ",".join(GREEK[i] if i < len(GREEK) else f"g{i}" for i in sorted(at)) + ">"
 
 
 def cmd_submodules(args, doc: InputDocument) -> int:
@@ -208,19 +209,22 @@ def cmd_submodules(args, doc: InputDocument) -> int:
     mod = module_from_seifert(v)
     _, subs = isotropy(mod)
     comps = mod.isotypic_components()
+    index = {c.key(): i for i, c in enumerate(comps)}
+    # each generator is rendered once, however many submodules hold it
+    texts = [str(c.generator) for c in comps]
+    jsons = [c.generator.to_json() for c in comps]
     lines = [f"isotropic submodules of the Alexander module of {args.knot}:"]
     lines.append("  submodule | generators | dim_Q")
     payload = []
     for sub in subs:
-        name = _submodule_name(sub, comps)
-        gens = ", ".join(str(g) for g in sub.generators) or "-"
-        dim = sum(
-            c.dim_over_q() for c in comps if c.key() in set(sub.component_keys)
-        )
+        at = [index[k] for k in sub.component_keys]
+        name = _submodule_name(at)
+        gens = ", ".join(texts[i] for i in at) or "-"
+        dim = sum(comps[i].dim_over_q() for i in at)
         lines.append(f"  {name} | {gens} | {dim}")
         payload.append({
             "name": name,
-            "generators": [g.to_json() for g in sub.generators],
+            "generators": [jsons[i] for i in at],
             "dim": dim,
         })
     _emit(args, {"knot": args.knot, "submodules": payload}, "\n".join(lines))
@@ -237,9 +241,9 @@ def cmd_fos(args, doc: InputDocument) -> int:
         lines.append("  (incomplete: opaque base)")
         payload.append({"submodule": "0", "term": str(fos.terms[0])})
     else:
-        comps = fos.module.isotypic_components()
+        index = {c.key(): i for i, c in enumerate(fos.module.isotypic_components())}
         for sub, term in zip(fos.submodules, fos.terms):
-            name = _submodule_name(sub, comps)
+            name = _submodule_name([index[k] for k in sub.component_keys])
             lines.append(f"  {name}: {term}")
             payload.append({"submodule": name, "term": str(term)})
     for note in fos.notes:

@@ -279,16 +279,14 @@ def folder(visit: Callable[[Node, Callable[[Node], T]], T]) -> Callable[[Node], 
 
 
 def component_count(node: Node) -> int:
-    return fold(node, _components)
-
-
-def _components(node: Node, sub) -> int:
+    """Infection and multiples keep the parent's components, so the count
+    is read at the end of the parent chain; no other child is visited."""
+    while isinstance(node, (Infect, Multiple)):
+        node = node.parent
     if isinstance(node, (BaseKnot, ConnectedSum)):
         return 1
     if isinstance(node, (TrivialLink, SliceLinkAssumed)):
         return node.components
-    if isinstance(node, (Infect, Multiple)):
-        return sub(node.parent)
     raise TypeError(f"not a construction node: {node!r}")
 
 
@@ -462,7 +460,7 @@ def _solvable(node: Node, sub) -> SolvDegree:
             rational = rational or q.rational_only
             if q.slice_all:
                 continue  # slice infectant never limits the level
-            cand = Fraction(p) + q.level
+            cand = q.level + p
             best = cand if best is None else min(best, cand)
         if best is None:
             # every infectant slice: result as solvable as the parent

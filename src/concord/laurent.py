@@ -45,9 +45,10 @@ Dense = Tuple[int, ...]
 MAX_JSON_SPAN = 1 << 16
 
 # The one memo policy of the program: every cached computation (modules,
-# Blanchfield forms, derived depths, generator images, the doubling
-# operator, pi enclosures, rho0 values) is a pure function of hashable
-# values, memoized by this bounded LRU.  Hit and miss counts are in `f.cache_info()`.  The LRU
+# Blanchfield forms, supports, derived depths, generator images, the
+# doubling operator, Arf invariants, pi enclosures, rho0 values) is a pure
+# function of hashable values, memoized by this bounded LRU.  Hit and miss
+# counts are in `f.cache_info()`.  The LRU
 # keys a call by its spelling, so a function with a default parameter is a
 # public function that calls a memoized inner one with every argument
 # positional: f(w), f(w, 5) and f(w, n_max=5) then share one entry.
@@ -389,8 +390,15 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def to_json(self) -> list:
-        """Sparse [exponent, [num, den]] pairs, exponents descending."""
-        return [[e, [v.numerator, v.denominator]] for e, v in reversed(self.items())]
+        """Sparse [exponent, [num, den]] pairs, exponents descending, each
+        fraction in lowest terms."""
+        lo, den, out = self._lo, self._den, []
+        for i in range(len(self._nums) - 1, -1, -1):
+            x = self._nums[i]
+            if x:
+                g = igcd(x, den)
+                out.append([lo + i, [x // g, den // g]])
+        return out
 
     @classmethod
     def from_json(cls, data: list) -> "LaurentPoly":

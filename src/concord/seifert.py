@@ -156,8 +156,10 @@ def alexander_poly(v: SeifertMatrix) -> LaurentPoly:
     return LaurentPoly.from_coeffs(poly).normalize()
 
 
+@memo
 def arf(v: SeifertMatrix) -> int:
-    """0 iff |Delta(-1)| is +-1 mod 8 (the determinant criterion)."""
+    """0 iff |Delta(-1)| is +-1 mod 8 (the determinant criterion);
+    memoized by the matrix, so a tower's terminal knot is evaluated once."""
     d = alexander_poly(v).evaluate(-1)
     assert d.denominator == 1
     return 0 if abs(int(d)) % 8 in (1, 7) else 1
@@ -366,11 +368,13 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     roots = realroots.isolate_roots(g_sf, Fraction(-2), Fraction(2))
     if not roots:
         return SignatureFunction([], [0])
-    # refine until pairwise disjoint so arc gaps are visible: widths 1/16,
-    # 1/64, ...; a refinement that stops separating the roots is a fault
+    # refine until pairwise disjoint and clear of x = +-2 so every arc gap,
+    # the two outer ones included, is visible: widths 1/16, 1/64, ...; a
+    # refinement that stops separating the roots is a fault
     for step in range(10000):
         refined = [r.refine(Fraction(1, 16 << 2 * step)) for r in roots]
-        if all(refined[i].hi < refined[i + 1].lo for i in range(len(refined) - 1)):
+        if refined[-1].hi < 2 and refined[0].lo > -2 and all(
+                refined[i].hi < refined[i + 1].lo for i in range(len(refined) - 1)):
             roots = refined
             break
     else:
@@ -386,8 +390,6 @@ def signature_function(v: SeifertMatrix) -> SignatureFunction:
     for k in range(len(roots_desc) + 1):
         x_hi = bounds[2 * k]      # upper x bound of this arc (exclusive)
         x_lo = bounds[2 * k + 1]  # lower x bound
-        if x_hi == x_lo:  # exact root squeezed the gap; nudge with neighbors
-            raise AssertionError("empty sampling gap despite disjoint isolation")
         tau = _find_tau_for_gap(x_lo, x_hi)
         values.append(signature_at(v, tau))
     assert values[0] == 0, "signature must vanish on the arc at omega = 1"

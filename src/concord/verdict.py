@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from concord.alexmod import blanchfield_form, module_from_seifert
+from concord.alexmod import conjugate_keys, module_from_seifert, support
 from concord.construction import (
     BaseKnot,
     ConstructionError,
@@ -190,13 +190,13 @@ class Verdict:
 
 
 def _analyze_terms(
-    fos: FirstOrderSignatures, axioms: Axioms, use_numeric: bool
+    fos: FirstOrderSignatures, axioms: Axioms
 ) -> Tuple[str, Optional[NotInSet], List[str]]:
     """What the first-order signature set concludes: NOT_SLICE when every
     term is certified nonzero, NOT_SLICE_CONDITIONAL with the residual
     predicate when the open terms solve for one shared rho0 atom, and
     INCONCLUSIVE when some term can vanish."""
-    values = fos.atom_values() if use_numeric else {}
+    values = fos.atom_values()
     notes: List[str] = []
     open_terms: List[RhoTerm] = []
     for term in fos.terms:
@@ -298,9 +298,7 @@ def _ambient_infection(node: Node) -> bool:
 # -- verdict: iterated doubles of a knot ------------------------------------------------
 
 
-def bing_obstruction(
-    knot: Node, axioms: Axioms = Axioms(), use_numeric: bool = True
-) -> Verdict:
+def bing_obstruction(knot: Node, axioms: Axioms = Axioms()) -> Verdict:
     """Obstruction for every iterated (all-component) double of the knot,
     at any depth: slice (or rationally solvable 1.5 above the depth)
     forces a vanishing first-order signature."""
@@ -318,7 +316,7 @@ def bing_obstruction(
             "certified",
             f"{len(fos.terms)} isotropic submodules enumerated",
         )
-        conclusion, cond, notes = _analyze_terms(fos, axioms, use_numeric)
+        conclusion, cond, notes = _analyze_terms(fos, axioms)
         if conclusion == INCONCLUSIVE:
             notes.append("a first-order signature can vanish; no obstruction")
     return Verdict(
@@ -330,8 +328,7 @@ def bing_obstruction(
 # -- verdict: single infection of a trivial/slice link ----------------------------------
 
 
-def infection_obstruction(node: Node, axioms: Axioms = Axioms(),
-                          use_numeric: bool = True) -> Verdict:
+def infection_obstruction(node: Node, axioms: Axioms = Axioms()) -> Verdict:
     if not _ambient_infection(node):
         raise ConstructionError(
             "infection obstruction expects a single-curve infection of a "
@@ -368,7 +365,7 @@ def infection_obstruction(node: Node, axioms: Axioms = Axioms(),
     if depth_hyp.status == "failed" or fos.incomplete:
         conclusion, cond, notes = INCONCLUSIVE, None, []
     else:
-        conclusion, cond, notes = _analyze_terms(fos, axioms, use_numeric)
+        conclusion, cond, notes = _analyze_terms(fos, axioms)
         if conclusion == INCONCLUSIVE:
             notes.append("a first-order signature can vanish" if trivial
                          else "a first-order signature vanishes outright")
@@ -527,14 +524,20 @@ def doubling_operator_verdict(tree: Node, axioms: Axioms = Axioms(),
 
 def _pairing_status(base: BaseKnot, curves: Sequence[CurveSpec]) -> Tuple[str, str]:
     """(status, reason) of "the curve classes span a submodule on which the
-    pairing is not identically zero" (certified by exact computation)."""
+    pairing is not identically zero" (certified by exact computation).
+
+    On a squarefree module the Blanchfield form pairs the p-part only with
+    the conj(p)-part, and nonsingularly (Levine, "Knot modules I", 1977);
+    each part is one-dimensional over its field Q[t]/(p).  So some pair of
+    the classes pairs to nonzero exactly when their joint support holds a
+    component together with its conjugate partner, which may be the
+    component itself.  Other modules raise `UnsupportedModule`."""
     if base.seifert is None:
         return "assumed", "opaque operator base"
     module = module_from_seifert(base.seifert)
-    form = blanchfield_form(module)
-    elems = [module.element(list(c.alex_class)) for c in curves]
-    for x in elems:
-        for y in elems:
-            if not form.pairing(x, y).is_zero():
-                return "certified", "nonvanishing pair found"
+    joint = frozenset().union(
+        *(support(module, module.element(list(c.alex_class))) for c in curves))
+    partner = conjugate_keys(module)
+    if any(partner[k] in joint for k in joint):
+        return "certified", "nonvanishing pair found"
     return "failed", "pairing vanishes on the span (isotropic curve set)"

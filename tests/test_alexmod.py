@@ -16,7 +16,7 @@ from concord.alexmod import (
     smith_normal_form,
 )
 from concord.laurent import (
-    LaurentPoly, divides, divmod_laurent, exact_div, gcd, reduce_mod,
+    LaurentPoly, divides, divmod_laurent, exact_div, gcd, is_squarefree, reduce_mod,
 )
 from concord.seifert import (
     SeifertMatrix, alexander_poly, connected_sum, mirror,
@@ -550,6 +550,30 @@ class TestIsotropic:
         zero_sub = subs[0]
         assert lat.membership(zero_sub, mod.zero())
         assert not lat.membership(zero_sub, g)
+
+    def test_membership_against_projections(self):
+        # a class lies in a submodule exactly when it projects to zero on
+        # every component outside it; block sums give submodules of up to
+        # four components
+        rng = random.Random(1977)
+        modules = [module_from_seifert(_block_sum(k)) for k in (2, 3, 4)]
+        while len(modules) < 200:
+            mod = module_from_seifert(random_seifert(rng, rng.choice([1, 2, 3, 4])))
+            if mod.orders and is_squarefree(mod.total_order()):
+                modules.append(mod)
+        for mod in modules:
+            lat = SubmoduleLattice(mod)
+            subs = lat.isotropic()
+            for _ in range(3):
+                x = mod.zero()
+                for c in lat.components:
+                    if rng.random() < 0.6:
+                        f = LaurentPoly.from_coeffs([rng.randrange(-2, 3) for _ in range(2)])
+                        x = mod.add(x, mod.scale(f, c.generator))
+                for s in subs:
+                    want = all(c.key() in s.component_keys or mod.project(x, c).is_zero()
+                               for c in lat.components)
+                    assert lat.membership(s, x) == want
 
     def test_non_squarefree_rejected(self):
         vsum = SeifertMatrix(

@@ -270,6 +270,75 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "0 |" in out and "<alpha>" in out and "<beta>" in out
 
+    @staticmethod
+    def block_sum(k):
+        """The block sum of [[0, m+1], [m, 0]], m = 1..k: 2k isotypic
+        components and 3^k isotropic submodules."""
+        ent = [[0] * (2 * k) for _ in range(2 * k)]
+        for m in range(1, k + 1):
+            ent[2 * m - 2][2 * m - 1], ent[2 * m - 1][2 * m - 2] = m + 1, m
+        return ent
+
+    def block_sum_doc(self, tmp_path, k):
+        path = tmp_path / f"block{k}.json"
+        path.write_text(json.dumps({"knots": {"B": {"seifert": self.block_sum(k), "flags": {}}}}))
+        return str(path)
+
+    def per_submodule_rendering(self, k):
+        """The submodules table and JSON payload of knot B rendered as the
+        command once did: every generator printed afresh for each
+        submodule that holds it."""
+        from concord.alexmod import isotropy, module_from_seifert
+        from concord.cli import GREEK
+        from concord.seifert import SeifertMatrix
+
+        mod = module_from_seifert(SeifertMatrix(self.block_sum(k)))
+        comps = mod.isotypic_components()
+        lines = ["isotropic submodules of the Alexander module of B:",
+                 "  submodule | generators | dim_Q"]
+        payload = []
+        for sub in isotropy(mod)[1]:
+            held = [i for i, c in enumerate(comps) if c.key() in set(sub.component_keys)]
+            name = "<" + ",".join(GREEK[i] for i in held) + ">" if held else "0"
+            gens = ", ".join(str(g) for g in sub.generators) or "-"
+            dim = sum(comps[i].dim_over_q() for i in held)
+            lines.append(f"  {name} | {gens} | {dim}")
+            payload.append({"name": name, "generators": [g.to_json() for g in sub.generators],
+                            "dim": dim})
+        return "\n".join(lines) + "\n", json.dumps(
+            {"knot": "B", "submodules": payload}, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_submodules_block_sums_unchanged(self, tmp_path, capsys, k):
+        doc = self.block_sum_doc(tmp_path, k)
+        text, as_json = self.per_submodule_rendering(k)
+        assert main(["--doc", doc, "submodules", "B"]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["--doc", doc, "--json", "submodules", "B"]) == 0
+        assert capsys.readouterr().out == as_json
+
+    def test_submodules_render_each_generator_once(self, tmp_path, capsys, monkeypatch):
+        import time
+
+        from concord.alexmod import ModElement
+
+        rendered = []
+        render = ModElement.__str__
+
+        def counting_str(x):
+            rendered.append(x)
+            return render(x)
+
+        monkeypatch.setattr(ModElement, "__str__", counting_str)
+        doc = self.block_sum_doc(tmp_path, 8)
+        t0 = time.perf_counter()
+        assert main(["--doc", doc, "submodules", "B"]) == 0
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 2 + 3**8
+        assert len(rendered) <= 16
+        assert elapsed < 1.0
+
     def test_sig_csv(self, capsys, tmp_path):
         target = tmp_path / "sig.csv"
         assert main(["sig", "trefoil", "--csv", str(target), "--samples", "12"]) == 0
@@ -316,6 +385,24 @@ class TestCommands:
     def test_dseries_bad_word(self, capsys):
         assert main(["dseries", "x9", "--rank", "2"]) == 1
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solvable", "tower"], ["verdict", "tower"], ["--json", "verdict", "towerx2"],
+        ["fos", "J2"], ["canon", "tower"], ["expand", "J2", "--level", "1"],
+        ["expand", "J2", "--level", "2"],
+    ])
+    def test_tower_queries_build_no_blanchfield_form(self, docfile, capsys, monkeypatch, argv):
+        # verdict and fos read isotypic supports; the gram is only an oracle
+        from concord.alexmod import BlanchfieldForm, blanchfield_form
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tower queries must not build or evaluate the pairing")
+
+        blanchfield_form.cache_clear()
+        monkeypatch.setattr(BlanchfieldForm, "__init__", refuse)
+        monkeypatch.setattr(BlanchfieldForm, "pairing", refuse)
+        assert main(["--doc", docfile] + argv) == 0
+        assert capsys.readouterr().out
 
     def test_solvable(self, docfile, capsys):
         assert main(["--doc", docfile, "solvable", "tower"]) == 0

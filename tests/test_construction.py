@@ -46,6 +46,11 @@ class TestNodes:
         assert component_count(TrivialLink(4)) == 4
         assert component_count(BingDouble(TREFOIL, 3)) == 8
         assert component_count(RDouble(TREFOIL)) == 1
+        # multiples and infections keep the components of their parent
+        assert component_count(Multiple(TrivialLink(3), 2)) == 3
+        over_multiple = Infect(Multiple(SliceLinkAssumed("L", 2), 3),
+                               (CurveSpec("a", AssumedDepth(1)),), (TREFOIL,))
+        assert component_count(over_multiple) == 2
 
     def test_validation(self):
         with pytest.raises(ConstructionError):
@@ -247,24 +252,19 @@ class TestSharedSubtrees:
         assert solvability_upper_bound(tree).level == 1 + 12
         assert len(calls) == 1
 
-    def test_pairing_once_per_operator(self, monkeypatch):
-        from concord.alexmod import BlanchfieldForm
+    def test_pairing_once_per_operator(self):
+        # the pairing status is read once per distinct operator, from one
+        # support computation per distinct curve class
+        from concord.alexmod import support
         from concord.verdict import NOT_SLICE_CONDITIONAL, doubling_operator_verdict
 
-        calls = []
-        pairing = BlanchfieldForm.pairing
-
-        def counting_pairing(form, x, y):
-            calls.append((x, y))
-            return pairing(form, x, y)
-
-        monkeypatch.setattr(BlanchfieldForm, "pairing", counting_pairing)
         counts, verdicts = [], []
         for height in (1, 12):
-            calls.clear()
+            support.cache_clear()
             verdicts.append(doubling_operator_verdict(self.tower_infection(height)[1]))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+            counts.append(support.cache_info().misses)
+        # alpha and beta, the operator's two distinct curve classes
+        assert counts == [2, 2]
         short, tall = verdicts
         assert short.conclusion == tall.conclusion == NOT_SLICE_CONDITIONAL
         name = "operator level {}: curve classes pair nontrivially"

@@ -487,6 +487,8 @@ class TestKernelAgainstSympy:
             for p in routes:
                 assert (p._lo, p._nums, p._den) == (f._lo, f._nums, f._den)
                 assert hash(p) == hash(f) == hash(tuple(sorted(dict(f.items()).items())))
+            # JSON coefficients are the Fractions of `items`, in lowest terms
+            assert f.to_json() == [[e, [v.numerator, v.denominator]] for e, v in reversed(f.items())]
             if f:
                 assert f._nums[0] and f._nums[-1] and f._den > 0
                 assert math.gcd(f._den, *f._nums) == 1

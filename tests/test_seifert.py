@@ -316,7 +316,7 @@ class TestTorusKnotStaircase:
     values are 0, -2, ..., -(n-1) and the integral is
     (2/n) * sum of those values."""
 
-    @pytest.mark.parametrize("g", range(1, 6))
+    @pytest.mark.parametrize("g", range(1, 13))
     def test_torus_2_2g_plus_1(self, g):
         v = torus_2_chain(g)
         # (t^(2g+1) + 1)/(t + 1)
@@ -325,8 +325,34 @@ class TestTorusKnotStaircase:
         assert sf.upper_values == list(range(0, -2 * g - 1, -2))
         val = rho0(v, Fraction(1, 10**10))
         assert val.contains(Fraction(-2 * g * (g + 1), 2 * g + 1))
-        est = rho0_riemann_estimate(v, samples=100000)
-        assert abs(est - float(val.midpoint)) < 1e-3
+        if g <= 5:
+            # the float oracle holds every sample's 2g x 2g matrix at once
+            # per chunk; above genus 5 the closed form stands alone
+            est = rho0_riemann_estimate(v, samples=100000)
+            assert abs(est - float(val.midpoint)) < 1e-3
+
+
+class TestOuterSamplingGap:
+    """A root of Delta on the unit circle near omega = 1 or -1 has its
+    isolating interval end at x = 2 or -2 until refined away from it; the
+    arc beyond it must still get a sample point.  These seeded knots are
+    the ones whose signature function raised an AssertionError before the
+    outer gaps joined the disjointness test."""
+
+    @pytest.mark.parametrize("seed, genus, crashed", [
+        (103, 3, (86, 95, 104, 276, 289)),
+        (104, 4, (60, 77, 165, 186, 190, 207, 220, 228, 317, 318, 330, 354, 392)),
+    ])
+    def test_random_knots_finish(self, seed, genus, crashed):
+        rng = random.Random(seed)
+        tol = Fraction(1, 10**9)
+        for i in range(400):
+            v = random_seifert(rng, genus)
+            val = rho0(v, tol)
+            assert val.radius <= tol
+            if i in crashed:
+                est = rho0_riemann_estimate(v, samples=20000)
+                assert abs(est - float(val.midpoint)) < 1e-2
 
 
 class TestRho0:
