@@ -254,8 +254,8 @@ class AlexModule:
     """Rational Alexander module with its cyclic decomposition.
 
     `orders` is the invariant-factor chain (nontrivial factors only,
-    d_i | d_{i+1}); `isotypic_orders` refines it per irreducible factor
-    when the total order is squarefree.
+    d_i | d_{i+1}); `isotypic_components` refines it per irreducible
+    factor when the total order is squarefree.
     """
 
     def __init__(self, seifert: SeifertMatrix, delta: LaurentPoly,
@@ -343,9 +343,6 @@ class AlexModule:
         comps.sort(key=lambda c: (c.order.degree(), c.order.to_json(), c.slot))
         self._components = comps
         return comps
-
-    def isotypic_orders(self) -> List[LaurentPoly]:
-        return [c.order for c in self.isotypic_components()]
 
     def project(self, x: ModElement, comp: IsotypicComponent) -> LaurentPoly:
         """Component of x in the given isotypic piece (a residue mod its

@@ -354,7 +354,7 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(self.items()))
+            self._hash = hash((self._lo, self._nums, self._den))
         return self._hash
 
     def eq_up_to_units(self, other: "LaurentPoly") -> bool:
@@ -460,12 +460,6 @@ def gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     one too and is already the normalized gcd."""
     a, b = a.normalize(), b.normalize()
     return _lp(0, dense_gcd(a._nums, b._nums))
-
-
-def lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a.is_zero() or b.is_zero():
-        return LaurentPoly()
-    return exact_div(a * b, gcd(a, b)).normalize()
 
 
 def normalize(f: LaurentPoly) -> LaurentPoly:

@@ -12,10 +12,9 @@ stays cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from concord.laurent import dense_derivative, dense_gcd, primitive, pseudo_divmod
 
@@ -75,8 +74,7 @@ def count_roots_half_open(chain: List[Poly], a: Fraction, b: Fraction) -> int:
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
-@dataclass(frozen=True)
-class IsolatedRoot:
+class IsolatedRoot(NamedTuple):
     """One real root of a squarefree polynomial.
 
     Either exact (lo == hi == the root) or isolated in the open interval

@@ -95,7 +95,7 @@ def test_criterion_1_alexander_data():
         d946 = alexander_poly(NINE46)
         assert d946.eq_up_to_units(lp({1: 1, 0: -2}) * lp({1: 2, 0: -1}))
         mod946 = module_from_seifert(NINE46)
-        orders = mod946.isotypic_orders()
+        orders = [c.order for c in mod946.isotypic_components()]
         assert len(orders) == 2
         assert {str(p) for p in orders} == {"t - 2", "2*t - 1"}
 

@@ -290,14 +290,14 @@ class TestModule:
     def test_nine46_two_isotypic_pieces(self):
         mod = module_from_seifert(NINE46)
         assert mod.is_cyclic()  # invariant-factor chain has one entry
-        assert [str(p) for p in mod.isotypic_orders()] == ["t - 2", "2*t - 1"]
+        assert [str(c.order) for c in mod.isotypic_components()] == ["t - 2", "2*t - 1"]
         assert mod.dim_over_q() == 2
 
     def test_eight9_cyclic_of_order_pq(self):
         mod = module_from_seifert(EIGHT9)
         assert mod.is_cyclic()
         assert mod.orders[0].eq_up_to_units(P_EX * Q_EX)
-        assert {str(p) for p in mod.isotypic_orders()} == {str(P_EX), str(Q_EX)}
+        assert {str(c.order) for c in mod.isotypic_components()} == {str(P_EX), str(Q_EX)}
 
     def test_unknot_zero_module(self):
         mod = module_from_seifert(UNKNOT)

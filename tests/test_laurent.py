@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import concord.laurent
 from concord.laurent import (
     DegreeCapExceeded,
     LaurentPoly,
@@ -17,7 +19,6 @@ from concord.laurent import (
     factor,
     gcd,
     invert_mod,
-    lcm,
     poly_divmod,
     reduce_mod,
 )
@@ -120,15 +121,12 @@ class TestDivision:
 
     @settings(max_examples=60, deadline=None)
     @given(laurent_polys(), laurent_polys())
-    def test_gcd_divides_and_lcm(self, a, b):
+    def test_gcd_divides(self, a, b):
         g = gcd(a, b)
         if g.is_zero():
             assert a.is_zero() and b.is_zero()
             return
         assert divides(g, a) and divides(g, b)
-        m = lcm(a, b)
-        if not (a.is_zero() or b.is_zero()):
-            assert (g * m).eq_up_to_units(a * b)
 
     def test_ext_gcd(self):
         a, b = P_EX, Q_EX
@@ -486,7 +484,12 @@ class TestKernelAgainstSympy:
             ]
             for p in routes:
                 assert (p._lo, p._nums, p._den) == (f._lo, f._nums, f._den)
-                assert hash(p) == hash(f) == hash(tuple(sorted(dict(f.items()).items())))
+            # every route hashes alike, and hashing a fresh poly builds no Fraction
+            fresh = [LaurentPoly(dict(f.items()))] + routes
+            no_fraction = AssertionError("hashing built a Fraction")
+            with mock.patch.object(concord.laurent, "Fraction", side_effect=no_fraction):
+                hashes = {hash(p) for p in fresh}
+            assert hashes == {hash(f)}
             # JSON coefficients are the Fractions of `items`, in lowest terms
             assert f.to_json() == [[e, [v.numerator, v.denominator]] for e, v in reversed(f.items())]
             if f:
